@@ -36,6 +36,10 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/aggregation_scaling.py \\
         --counts 1000000 --baseline-limit 0 --cover-scan-limit 16
 
+``--engine SPEC`` picks the inner engine both sides run (default
+``compiled``; e.g. ``compiled:vector`` or ``sharded/4``): the baseline is
+that spec as given, the aggregated side wraps it in the covering forest.
+
 ``--save`` archives the table under ``benchmarks/results/`` and emits
 ``BENCH_aggregation_scaling.json`` next to it.  Four flags turn the script
 into the CI gate: ``--min-compression X`` (exit 1 unless the largest sweep
@@ -54,9 +58,10 @@ import argparse
 import pathlib
 import sys
 import time
+from dataclasses import replace
 
 from repro.matching.aggregation import AggregatingEngine
-from repro.matching.engines import create_engine
+from repro.matching.engines import EngineSpec, create_engine
 from repro.obs import bench as obs_bench
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
@@ -65,10 +70,14 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "aggregation_scaling.txt"
 
 
-def build_engine(subscriptions, *, aggregate, cover_scan_limit, cache, use_index=True):
+def build_engine(
+    subscriptions, *, engine_spec, aggregate, cover_scan_limit, cache, use_index=True
+):
+    """``engine_spec`` unaggregated, or wrapped in the covering forest with
+    this script's cover-search knobs."""
     spec = CHART1_SPEC
     inner = create_engine(
-        "compiled",
+        replace(engine_spec, aggregate=False),
         spec.schema(),
         domains=spec.domains(),
         match_cache_capacity=cache,
@@ -84,14 +93,15 @@ def build_engine(subscriptions, *, aggregate, cover_scan_limit, cache, use_index
 
 
 def program_cells(engine):
-    """Memory proxy: total compiled-array entries of the inner program."""
+    """Memory proxy: total compiled-array entries of the inner program(s)."""
     inner = engine.inner if isinstance(engine, AggregatingEngine) else engine
-    program = inner.program
-    return (
-        program.node_count
-        + len(program.subs_flat)
-        + len(program.value_ids)
-        + len(program.range_tests)
+    shards = getattr(inner, "shards", [inner])
+    return sum(
+        shard.program.node_count
+        + len(shard.program.subs_flat)
+        + len(shard.program.value_ids)
+        + len(shard.program.range_tests)
+        for shard in shards
     )
 
 
@@ -113,7 +123,7 @@ def time_events(engine, events, repeats):
 
 
 def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
-        cache, baseline_limit):
+        cache, baseline_limit, engine_spec):
     """Sweep the subscription-count axis; returns (rows, rendered table).
 
     Each row:
@@ -134,7 +144,7 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
     lines = [
         f"events={num_events} repeats={repeats} dup_rate={dup_rate} "
         f"cover_scan_limit={cover_scan_limit} cache={cache} "
-        f"baseline_limit={baseline_limit}",
+        f"baseline_limit={baseline_limit} engine={engine_spec}",
         "",
         header,
         "-" * len(header),
@@ -149,7 +159,7 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
 
         ingest_start = time.perf_counter()
         engine = build_engine(
-            subscriptions, aggregate=True,
+            subscriptions, engine_spec=engine_spec, aggregate=True,
             cover_scan_limit=cover_scan_limit, cache=cache,
         )
         ingest_s = time.perf_counter() - ingest_start
@@ -172,7 +182,7 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
 
         if count <= baseline_limit:
             baseline = build_engine(
-                subscriptions, aggregate=False,
+                subscriptions, engine_spec=engine_spec, aggregate=False,
                 cover_scan_limit=cover_scan_limit, cache=cache,
             )
             baseline.match(events[0])
@@ -199,7 +209,7 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
     return rows, "\n".join(lines)
 
 
-def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
+def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache, engine_spec):
     """Covering-index ingest gain: indexed vs linear-scan attach over the
     same duplicated pool.
 
@@ -220,18 +230,19 @@ def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
     for label, use_index in (("indexed", True), ("linear", False)):
         start = time.perf_counter()
         engine = build_engine(
-            subscriptions, aggregate=True,
+            subscriptions, engine_spec=engine_spec, aggregate=True,
             cover_scan_limit=cover_scan_limit, cache=cache, use_index=use_index,
         )
         elapsed = time.perf_counter() - start
         result[f"{label}_subs_per_s"] = count / elapsed
         result[f"{label}_compression"] = engine.compression_ratio
-        engine.close()
     result["speedup"] = result["indexed_subs_per_s"] / result["linear_subs_per_s"]
     return result
 
 
-def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit, cache):
+def dedup_free_slowdown(
+    count, num_events, repeats, seed, cover_scan_limit, cache, engine_spec
+):
     """Aggregated/baseline per-event ratio on a duplicate-free workload.
 
     With no duplicates to absorb, every subscription is its own root and
@@ -247,11 +258,11 @@ def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit, cach
     events = [event_generator.event_for() for _ in range(num_events)]
 
     aggregated = build_engine(
-        subscriptions, aggregate=True,
+        subscriptions, engine_spec=engine_spec, aggregate=True,
         cover_scan_limit=cover_scan_limit, cache=cache,
     )
     baseline = build_engine(
-        subscriptions, aggregate=False,
+        subscriptions, engine_spec=engine_spec, aggregate=False,
         cover_scan_limit=cover_scan_limit, cache=cache,
     )
     aggregated.match(events[0])
@@ -264,7 +275,7 @@ def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit, cach
 def emit_bench(rows, args, directory, extra):
     payload = obs_bench.bench_payload(
         "aggregation_scaling",
-        engine="compiled+aggregation",
+        engine=str(replace(args.engine, aggregate=True)),
         workload={
             "spec": "CHART1_SPEC",
             "counts": args.counts,
@@ -275,6 +286,8 @@ def emit_bench(rows, args, directory, extra):
             "cover_scan_limit": args.cover_scan_limit,
             "cache": args.cache,
             "baseline_limit": args.baseline_limit,
+            "engine": str(args.engine),
+            "backend": args.engine.backend,
         },
         wall_clock_s=None,
         metrics=get_registry(),
@@ -306,6 +319,11 @@ def main(argv=None):
     parser.add_argument(
         "--cache", type=int, default=None, metavar="N",
         help="projection/descent cache capacity (default: engine default)",
+    )
+    parser.add_argument(
+        "--engine", type=EngineSpec.parse, default=EngineSpec(), metavar="SPEC",
+        help="inner engine spec (default: compiled); the baseline runs it "
+        "unaggregated, the aggregated side wraps it in the covering forest",
     )
     parser.add_argument(
         "--baseline-limit", type=int, default=100000, metavar="N",
@@ -346,7 +364,7 @@ def main(argv=None):
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
         args.counts, args.events, args.repeats, args.seed, args.dup_rate,
-        args.cover_scan_limit, args.cache, args.baseline_limit,
+        args.cover_scan_limit, args.cache, args.baseline_limit, args.engine,
     )
     print(table)
 
@@ -355,7 +373,7 @@ def main(argv=None):
     if args.max_slowdown is not None:
         slowdown = dedup_free_slowdown(
             min(args.counts), args.events, args.repeats, args.seed,
-            args.cover_scan_limit, args.cache,
+            args.cover_scan_limit, args.cache, args.engine,
         )
         extra["dedup_free_slowdown"] = slowdown
         print(
@@ -367,7 +385,7 @@ def main(argv=None):
     if args.min_ingest_speedup is not None:
         ingest_gate = ingest_speedup(
             args.ingest_count, args.seed, args.dup_rate,
-            args.cover_scan_limit, args.cache,
+            args.cover_scan_limit, args.cache, args.engine,
         )
         extra["ingest_gate"] = ingest_gate
         print(

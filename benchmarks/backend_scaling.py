@@ -1,47 +1,35 @@
-"""Kernel-backend sweep: interp vs vector kernels, procpool vs monolithic.
+"""Kernel-backend sweep: the interp and vector kernels on one compiled engine.
 
 Builds Chart-1-spec engines at a large subscription count and times the
 batched matching path (``match_batch`` over fixed-size batches) across the
-execution-backend axis introduced in :mod:`repro.matching.backends`:
-
-``kernel`` rows
-    One monolithic :class:`CompiledEngine` per in-process kernel backend
-    (``interp``, ``vector``, and the vector backend's forced
-    zero-dependency column fallback).  Projection caches are disabled so
-    repeated timing passes measure the kernels, not cache hits — the
-    "cold" stream of the other benchmark scripts.  ``speedup`` is against
-    the ``interp`` row.
-
-``procpool`` rows
-    :class:`ShardedEngine` in process-worker mode (compiled shard
-    programs published once into shared memory, one pipe round-trip per
-    worker per batch) against the same monolithic ``interp`` baseline.
+kernel backends of :mod:`repro.matching.backends`: one monolithic compiled
+engine per backend (engine specs ``compiled`` and ``compiled:vector``).
+Projection caches are disabled so repeated timing passes measure the
+kernels, not cache hits — the "cold" stream of the other benchmark scripts.
+``speedup`` is against the ``interp`` row.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/backend_scaling.py
-    PYTHONPATH=src python benchmarks/backend_scaling.py --min-vector-speedup 1.3 \\
-        --min-procpool-speedup 1.0
+    PYTHONPATH=src python benchmarks/backend_scaling.py --min-vector-speedup 1.3
 
 ``--save`` archives the table under ``benchmarks/results/backend_scaling.txt``
-and emits ``BENCH_backend_scaling.json`` next to it.  The two ``--min-*``
-flags turn the script into the CI gate: exit code 1 unless ``vector`` beats
-``interp`` by the given factor on the batch-64 stream AND the sharded
-procpool engine (``--shards`` x ``--workers``) at least matches the
-monolithic baseline.
+and emits ``BENCH_backend_scaling.json`` next to it.  ``--min-vector-speedup``
+turns the script into the CI gate: exit code 1 unless ``vector`` beats
+``interp`` by the given factor on the batch-64 stream.  The vector backend
+needs numpy; without it ``compiled:vector`` runs as ``interp`` and the gate
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 import time
 
-from repro.matching.backends import KERNEL_BACKEND_NAMES
-from repro.matching.backends.vector import VectorBackend
-from repro.matching.engines import CompiledEngine, create_engine
+from repro.matching.backends import BACKEND_NAMES
+from repro.matching.engines import EngineSpec, create_engine
 from repro.obs import bench as obs_bench
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
@@ -50,30 +38,14 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "backend_scaling.txt"
 
 
-def build_compiled(subscriptions, backend):
+def build_compiled(subscriptions, spec):
     """Monolithic compiled engine, projection caches off (cold stream)."""
-    spec = CHART1_SPEC
-    engine = CompiledEngine(
-        spec.schema(),
-        domains=spec.domains(),
-        match_cache_capacity=0,
-        backend=backend,
-    )
-    for subscription in subscriptions:
-        engine.insert(subscription)
-    return engine
-
-
-def build_procpool(subscriptions, shards, workers):
-    spec = CHART1_SPEC
+    workload = CHART1_SPEC
     engine = create_engine(
-        "sharded",
-        spec.schema(),
-        domains=spec.domains(),
+        spec,
+        workload.schema(),
+        domains=workload.domains(),
         match_cache_capacity=0,
-        shards=shards,
-        shard_workers=workers,
-        backend="procpool",
     )
     for subscription in subscriptions:
         engine.insert(subscription)
@@ -85,8 +57,7 @@ def time_batches(engine, batches, repeats):
 
     Best-of-repeats, like every other script here: with the caches off
     each pass re-executes the kernels, and the minimum amortizes one-time
-    costs (compilation, the vector backend's columnar index build, the
-    procpool engine's worker forks and shared-memory publications) that
+    costs (compilation, the vector backend's columnar index build) that
     real streams also pay exactly once.
     """
     best = float("inf")
@@ -98,11 +69,12 @@ def time_batches(engine, batches, repeats):
     return best / sum(len(batch) for batch in batches)
 
 
-def run(subscriptions_count, num_events, batch, shards, workers, repeats, seed):
+def run(subscriptions_count, num_events, batch, repeats, seed):
     """Sweep the backend axis; returns (rows, rendered table text).
 
-    Each row is ``{mode, backend, shards, workers, per_event_us, speedup}``
-    with ``speedup`` against the monolithic ``interp`` row.
+    Each row is ``{engine, backend, per_event_us, speedup}`` with
+    ``speedup`` against the ``interp`` row; ``engine`` is the canonical
+    spec, so it names the backend that actually ran.
     """
     spec = CHART1_SPEC
     subscriptions = SubscriptionGenerator(spec, seed=seed).subscriptions_for(
@@ -112,10 +84,7 @@ def run(subscriptions_count, num_events, batch, shards, workers, repeats, seed):
     events = [event_generator.event_for() for _ in range(num_events)]
     batches = [events[i : i + batch] for i in range(0, len(events), batch)]
 
-    header = (
-        f"{'mode':>8} {'backend':>16} {'shards':>6} {'workers':>7} "
-        f"{'per_event_us':>13} {'speedup':>8}"
-    )
+    header = f"{'engine':>16} {'backend':>8} {'per_event_us':>13} {'speedup':>8}"
     lines = [
         f"subscriptions={subscriptions_count} events={num_events} "
         f"batch={batch} repeats={repeats} caches=off",
@@ -124,43 +93,27 @@ def run(subscriptions_count, num_events, batch, shards, workers, repeats, seed):
         "-" * len(header),
     ]
     rows = []
-
-    def record(mode, backend, shard_count, worker_count, per_event, baseline):
+    baseline = None
+    for backend in BACKEND_NAMES:
+        engine_spec = EngineSpec(backend=backend)
+        engine = build_compiled(subscriptions, engine_spec)
+        engine.match(events[0])  # force compilation outside the timed region
+        per_event = time_batches(engine, batches, repeats)
+        if baseline is None:
+            baseline = per_event  # interp is first in BACKEND_NAMES
         speedup = baseline / per_event
         rows.append(
             {
-                "mode": mode,
-                "backend": backend,
-                "shards": shard_count,
-                "workers": worker_count,
+                "engine": str(engine_spec),
+                "backend": engine_spec.backend,
                 "per_event_us": per_event * 1e6,
                 "speedup": speedup,
             }
         )
         lines.append(
-            f"{mode:>8} {backend:>16} {shard_count:>6} {worker_count:>7} "
+            f"{str(engine_spec):>16} {engine_spec.backend:>8} "
             f"{per_event * 1e6:>13.1f} {speedup:>7.2f}x"
         )
-        return speedup
-
-    kernels = [(name, name) for name in KERNEL_BACKEND_NAMES]
-    kernels.append(("vector-fallback", VectorBackend(force_fallback=True)))
-    baseline = None
-    for label, backend in kernels:
-        engine = build_compiled(subscriptions, backend)
-        engine.match(events[0])  # force compilation outside the timed region
-        per_event = time_batches(engine, batches, repeats)
-        if baseline is None:
-            baseline = per_event  # interp is first in KERNEL_BACKEND_NAMES
-        record("kernel", label, 0, 0, per_event, baseline)
-
-    engine = build_procpool(subscriptions, shards, workers)
-    try:
-        engine.match_batch(batches[0])  # fork workers + publish programs
-        per_event = time_batches(engine, batches, repeats)
-    finally:
-        engine.close()
-    record("procpool", "procpool", shards, workers, per_event, baseline)
     return rows, "\n".join(lines)
 
 
@@ -173,8 +126,6 @@ def emit_bench(rows, args, directory):
             "subscriptions": args.subscriptions,
             "events": args.events,
             "batch": args.batch,
-            "shards": args.shards,
-            "workers": args.workers,
             "repeats": args.repeats,
             "seed": args.seed,
         },
@@ -194,12 +145,6 @@ def main(argv=None):
     )
     parser.add_argument("--events", type=int, default=1024, help="events per stream")
     parser.add_argument("--batch", type=int, default=64, help="events per match_batch call")
-    parser.add_argument(
-        "--shards", type=int, default=4, help="shard count for the procpool row"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="process-worker count for the procpool row"
-    )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best kept)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--save", action="store_true", help=f"write table to {RESULTS_PATH}")
@@ -211,17 +156,11 @@ def main(argv=None):
         "--min-vector-speedup", type=float, default=None, metavar="X",
         help="perf gate: exit 1 unless the vector kernel beats interp by X",
     )
-    parser.add_argument(
-        "--min-procpool-speedup", type=float, default=None, metavar="X",
-        help="perf gate: exit 1 unless the sharded procpool engine reaches "
-        "X times the monolithic interp baseline",
-    )
     args = parser.parse_args(argv)
 
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
-        args.subscriptions, args.events, args.batch,
-        args.shards, args.workers, args.repeats, args.seed,
+        args.subscriptions, args.events, args.batch, args.repeats, args.seed
     )
     print(table)
     if args.save:
@@ -233,43 +172,26 @@ def main(argv=None):
         path = emit_bench(rows, args, out_dir)
         print(f"bench artifact: {path}")
 
-    failed = False
-    gates = (
-        ("vector", args.min_vector_speedup,
-         next(row for row in rows if row["backend"] == "vector")),
-        ("procpool", args.min_procpool_speedup,
-         next(row for row in rows if row["mode"] == "procpool")),
-    )
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    for label, floor, row in gates:
-        if floor is None:
-            continue
-        if label == "procpool" and cores < 2:
-            # Process workers timeshare a single core, so the row measures
-            # IPC overhead with no parallelism to buy it back — the number
-            # is real but it is not what the gate protects.
-            print(
-                f"perf gate skipped: procpool needs >= 2 cores to be "
-                f"meaningful (this host exposes {cores}); measured "
-                f"{row['speedup']:.2f}x",
-                file=sys.stderr,
-            )
-            continue
-        if row["speedup"] < floor:
-            print(
-                f"PERF GATE FAILED: {label} speedup {row['speedup']:.2f}x "
-                f"< {floor:.2f}x vs the monolithic interp baseline",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            print(
-                f"perf gate passed: {label} {row['speedup']:.2f}x >= {floor:.2f}x"
-            )
-    return 1 if failed else 0
+    floor = args.min_vector_speedup
+    if floor is None:
+        return 0
+    vector = next((row for row in rows if row["backend"] == "vector"), None)
+    if vector is None:
+        print(
+            "PERF GATE FAILED: the vector backend is unavailable (numpy is "
+            "not installed), so compiled:vector ran as interp",
+            file=sys.stderr,
+        )
+        return 1
+    if vector["speedup"] < floor:
+        print(
+            f"PERF GATE FAILED: vector speedup {vector['speedup']:.2f}x "
+            f"< {floor:.2f}x vs the interp baseline",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"perf gate passed: vector {vector['speedup']:.2f}x >= {floor:.2f}x")
+    return 0
 
 
 if __name__ == "__main__":

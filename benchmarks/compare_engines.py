@@ -4,7 +4,10 @@ Builds identical Chart-1-spec subscription sets at several sizes and times
 ``match()`` over a fixed event sample with both engines.  Both engines take
 exactly the same number of matching *steps* (the equivalence suite proves
 it); this script measures how much wall-clock time the compiled arrays save
-per step.
+per step.  ``--engine SPEC`` picks the contender (default ``compiled``; e.g.
+``compiled:vector`` or ``compiled+agg``); the tree engine is always the
+reference.  Specs whose step counts legitimately differ from the tree's
+(sharded, ``+agg``) are checked on match sets instead of steps.
 
 Run from the repo root::
 
@@ -34,29 +37,22 @@ import random
 import sys
 import time
 
-from repro.matching.engines import create_engine
+from repro.matching.engines import EngineSpec, create_engine
 from repro.obs import bench as obs_bench
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "compare_engines.txt"
-ENGINES = ("tree", "compiled")
 
 
-def build_engine(name, subscriptions, *, cache=True, backend=None, aggregate=False):
+def build_engine(engine_spec, subscriptions, *, cache=True):
     spec = CHART1_SPEC
     engine = create_engine(
-        name,
+        engine_spec,
         spec.schema(),
         domains=spec.domains(),
         match_cache_capacity=None if cache else 0,
-        # The tree engine has no kernels to swap; --backend only affects
-        # the compiled side of the comparison.
-        backend=backend if name == "compiled" else None,
-        # The covering forest wraps the compiled side only: the tree engine
-        # stays the unaggregated reference the speedup is measured against.
-        aggregate=aggregate and name == "compiled",
     )
     for subscription in subscriptions:
         engine.insert(subscription)
@@ -112,11 +108,12 @@ def time_matches_churn(engine, events, churn, plan):
 
 def run(
     counts, num_events, repeats, seed,
-    *, cache=True, churn=0, backend=None, aggregate=False, dup_rate=0.0,
+    *, cache=True, churn=0, engine="compiled", dup_rate=0.0,
 ):
     """Sweep the subscription counts; returns (rows, rendered table text).
 
-    Each row is ``{subscriptions, avg_steps, tree_us, compiled_us, speedup}``.
+    Each row is ``{subscriptions, avg_steps, tree_us, compiled_us, speedup}``
+    (``compiled_us`` times the ``engine`` spec).
     With ``cache=False`` the compiled engine's projection caches are
     disabled, so the comparison isolates the raw kernel speedup (the CI gate
     uses this: repeated timing loops over a fixed event sample would
@@ -126,6 +123,8 @@ def run(
     starting state).
     """
     spec = CHART1_SPEC
+    contender = EngineSpec.parse(engine) if isinstance(engine, str) else engine
+    engines = {"tree": EngineSpec(kind="tree"), "compiled": contender}
     subscription_generator = SubscriptionGenerator(
         spec, seed=seed, duplicate_rate=dup_rate
     )
@@ -150,14 +149,11 @@ def run(
         )
         per_match = {}
         steps = {}
-        for name in ENGINES:
+        for name, engine_spec in engines.items():
             if churn:
                 best = float("inf")
                 for _ in range(repeats):
-                    engine = build_engine(
-                        name, subscriptions, cache=cache, backend=backend,
-                        aggregate=aggregate,
-                    )
+                    engine = build_engine(engine_spec, subscriptions, cache=cache)
                     engine.match(events[0])  # warm up (compiled: force compilation)
                     per_event, avg_steps = time_matches_churn(
                         engine, events, churn, plan
@@ -165,31 +161,27 @@ def run(
                     best = min(best, per_event)
                 per_match[name], steps[name] = best, avg_steps
             else:
-                engine = build_engine(
-                    name, subscriptions, cache=cache, backend=backend,
-                    aggregate=aggregate,
-                )
+                engine = build_engine(engine_spec, subscriptions, cache=cache)
                 engine.match(events[0])  # warm up (compiled: force compilation)
                 per_match[name], steps[name] = time_matches(engine, events, repeats)
         compression = None
-        if aggregate:
-            # Aggregation legitimately changes the step count (deduped
-            # leaves walk once for many subscribers); sanity-check match
-            # sets instead of steps.
+        if contender.kind == "compiled" and not contender.aggregate:
+            assert steps["tree"] == steps["compiled"], "engines disagree on steps"
+        else:
+            # Aggregation (deduped leaves walk once for many subscribers)
+            # and sharding (one root walk per shard) legitimately change the
+            # step count; sanity-check match sets instead of steps.
+            checked = build_engine(contender, subscriptions, cache=cache)
             tree_set = sorted(
                 s.subscription_id
                 for s in build_engine("tree", subscriptions).match(events[0]).subscriptions
             )
-            agg_engine = build_engine(
-                "compiled", subscriptions, cache=cache, backend=backend, aggregate=True
+            checked_set = sorted(
+                s.subscription_id for s in checked.match(events[0]).subscriptions
             )
-            agg_set = sorted(
-                s.subscription_id for s in agg_engine.match(events[0]).subscriptions
-            )
-            assert tree_set == agg_set, "aggregation changed the match set"
-            compression = agg_engine.compression_ratio
-        else:
-            assert steps["tree"] == steps["compiled"], "engines disagree on steps"
+            assert tree_set == checked_set, f"{contender} changed the match set"
+            if contender.aggregate:
+                compression = checked.compression_ratio
         speedup = per_match["tree"] / per_match["compiled"]
         row = {
             "subscriptions": count,
@@ -212,7 +204,7 @@ def run(
 def emit_bench(rows, args, directory):
     payload = obs_bench.bench_payload(
         "compare_engines",
-        engine="tree-vs-compiled",
+        engine=f"tree-vs-{args.engine}",
         workload={
             "spec": "CHART1_SPEC",
             "counts": list(args.counts),
@@ -221,8 +213,8 @@ def emit_bench(rows, args, directory):
             "seed": args.seed,
             "cache": not args.no_cache,
             "churn": args.churn,
-            "backend": args.backend,
-            "aggregate": args.aggregate,
+            "engine": str(args.engine),
+            "backend": args.engine.backend,
             "dup_rate": args.dup_rate,
         },
         wall_clock_s=None,
@@ -259,14 +251,11 @@ def main(argv=None):
         "patch/recompile cost lands inside the timed region",
     )
     parser.add_argument(
-        "--backend", default=None, choices=("interp", "vector"),
-        help="kernel backend for the compiled engine (default: engine default)",
-    )
-    parser.add_argument(
-        "--aggregate", action="store_true",
-        help="wrap the compiled engine in the online covering forest "
-        "(repro.matching.aggregation); the tree engine stays the "
-        "unaggregated reference, so the speedup column shows the dedup win",
+        "--engine", type=EngineSpec.parse, default=EngineSpec(), metavar="SPEC",
+        help="engine spec timed against the tree engine (default: compiled), "
+        "e.g. compiled:vector or compiled+agg — with +agg the tree engine "
+        "stays the unaggregated reference, so the speedup column shows the "
+        "dedup win",
     )
     parser.add_argument(
         "--dup-rate", type=float, default=0.0, metavar="D",
@@ -285,8 +274,8 @@ def main(argv=None):
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
         args.counts, args.events, args.repeats, args.seed,
-        cache=not args.no_cache, churn=args.churn, backend=args.backend,
-        aggregate=args.aggregate, dup_rate=args.dup_rate,
+        cache=not args.no_cache, churn=args.churn, engine=args.engine,
+        dup_rate=args.dup_rate,
     )
     print(table)
     if args.save:

@@ -1,18 +1,16 @@
-"""Sharded matching throughput: shard-count x worker sweep, cold vs churn.
+"""Sharded matching throughput: shard-count sweep, cold vs churn.
 
 Builds Chart-1-spec engines at a large subscription count and measures
 ``match()`` throughput for :class:`~repro.matching.sharding.ShardedEngine`
-across shard counts and worker-pool widths against the monolithic
-``CompiledEngine`` baseline.  Two event streams are swept:
+(engine spec ``sharded/S``) across shard counts against the monolithic
+``compiled`` baseline.  Two event streams are swept:
 
 ``cold``
     Fresh random events, no churn.  Nearly every projection is new, so
     this stream shows the raw cost of sharding: S root walks plus the
     union merge instead of one.  Expect ~1x or slightly below — this is
     the measured crossover documented in ``docs/performance.md``: sharding
-    is not a cold-stream kernel win, and neither are threads (the kernels
-    are pure Python and hold the GIL, so ``workers>0`` only adds dispatch
-    overhead on CPython today).
+    is not a cold-stream kernel win.
 
 ``churn``
     Events drawn from a finite pool with subscription churn interleaved
@@ -32,8 +30,8 @@ Run from the repo root::
 ``--save`` archives the table under ``benchmarks/results/shard_scaling.txt``
 and emits ``BENCH_shard_scaling.json`` next to it.  ``--shards S
 --min-speedup X`` turns the script into the CI gate: exit code 1 unless the
-serial (``workers=0``) sharded engine at ``S`` shards beats the monolithic
-baseline by at least ``X`` on the churn stream.
+sharded engine at ``S`` shards beats the monolithic baseline by at least
+``X`` on the churn stream.
 """
 
 from __future__ import annotations
@@ -54,20 +52,13 @@ RESULTS_PATH = RESULTS_DIR / "shard_scaling.txt"
 STREAMS = ("cold", "churn")
 
 
-def build_engine(subscriptions, *, shards=None, policy=None, workers=0, backend=None):
+def build_engine(subscriptions, *, shards=None):
     """Monolithic compiled engine (``shards=None``) or a sharded one."""
     spec = CHART1_SPEC
     engine = create_engine(
-        "compiled" if shards is None else "sharded",
+        "compiled" if shards is None else f"sharded/{shards}",
         spec.schema(),
         domains=spec.domains(),
-        shards=shards,
-        shard_policy=policy,
-        shard_workers=workers,
-        # The monolithic baseline keeps the default kernel so speedups
-        # stay comparable across --backend values (and "procpool" is a
-        # sharded-only execution mode anyway).
-        backend=backend if shards is not None else None,
     )
     for subscription in subscriptions:
         engine.insert(subscription)
@@ -127,17 +118,13 @@ def time_churn(build, events, churn, plan, repeats):
                 engine.insert(fresh)
             engine.match(event)
         best = min(best, time.perf_counter() - start)
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     return best / len(events)
 
 
-def run(subscriptions_count, num_events, pool_size, churn,
-        shard_counts, worker_counts, policy, repeats, seed, backend=None):
-    """Sweep shards x workers over both streams; returns (rows, table).
+def run(subscriptions_count, num_events, pool_size, churn, shard_counts, repeats, seed):
+    """Sweep shard counts over both streams; returns (rows, table).
 
-    Each row is ``{stream, shards, workers, per_event_us, speedup}`` where
+    Each row is ``{stream, shards, per_event_us, speedup}`` where
     ``speedup`` is against the monolithic compiled engine on the same
     stream (``shards=0`` rows are that baseline).
     """
@@ -154,20 +141,13 @@ def run(subscriptions_count, num_events, pool_size, churn,
         if stream == "cold":
             engine = build()
             engine.match(streams["cold"][0])
-            per_event = time_cold(engine, streams["cold"], repeats)
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
-            return per_event
+            return time_cold(engine, streams["cold"], repeats)
         return time_churn(build, streams["churn"], churn, plan, repeats)
 
-    header = (
-        f"{'stream':>6} {'shards':>6} {'workers':>7} "
-        f"{'per_event_us':>13} {'speedup':>8}"
-    )
+    header = f"{'stream':>6} {'shards':>6} {'per_event_us':>13} {'speedup':>8}"
     lines = [
         f"subscriptions={subscriptions_count} events={num_events} "
-        f"pool={pool_size} churn=1/{churn} policy={policy} repeats={repeats}",
+        f"pool={pool_size} churn=1/{churn} repeats={repeats}",
         "",
         header,
         "-" * len(header),
@@ -179,37 +159,25 @@ def run(subscriptions_count, num_events, pool_size, churn,
             {
                 "stream": stream,
                 "shards": 0,
-                "workers": 0,
                 "per_event_us": baseline * 1e6,
                 "speedup": 1.0,
             }
         )
-        lines.append(
-            f"{stream:>6} {'mono':>6} {0:>7} {baseline * 1e6:>13.1f} {'1.00x':>8}"
-        )
+        lines.append(f"{stream:>6} {'mono':>6} {baseline * 1e6:>13.1f} {'1.00x':>8}")
         for shards in shard_counts:
-            for workers in worker_counts:
-                per_event = timed(
-                    stream,
-                    lambda: build_engine(
-                        subscriptions, shards=shards, policy=policy,
-                        workers=workers, backend=backend,
-                    ),
-                )
-                speedup = baseline / per_event
-                rows.append(
-                    {
-                        "stream": stream,
-                        "shards": shards,
-                        "workers": workers,
-                        "per_event_us": per_event * 1e6,
-                        "speedup": speedup,
-                    }
-                )
-                lines.append(
-                    f"{stream:>6} {shards:>6} {workers:>7} "
-                    f"{per_event * 1e6:>13.1f} {speedup:>7.2f}x"
-                )
+            per_event = timed(stream, lambda: build_engine(subscriptions, shards=shards))
+            speedup = baseline / per_event
+            rows.append(
+                {
+                    "stream": stream,
+                    "shards": shards,
+                    "per_event_us": per_event * 1e6,
+                    "speedup": speedup,
+                }
+            )
+            lines.append(
+                f"{stream:>6} {shards:>6} {per_event * 1e6:>13.1f} {speedup:>7.2f}x"
+            )
     return rows, "\n".join(lines)
 
 
@@ -224,11 +192,8 @@ def emit_bench(rows, args, directory):
             "pool": args.pool,
             "churn": args.churn,
             "shard_counts": list(args.shards_list),
-            "worker_counts": list(args.workers_list),
-            "policy": args.policy,
             "repeats": args.repeats,
             "seed": args.seed,
-            "backend": args.backend,
         },
         wall_clock_s=None,
         metrics=get_registry(),
@@ -257,19 +222,6 @@ def main(argv=None):
         "--shards-list", type=int, nargs="+", default=[1, 2, 4, 8],
         help="shard counts to sweep",
     )
-    parser.add_argument(
-        "--workers-list", type=int, nargs="+", default=[0, 4],
-        help="worker-pool widths to sweep (0 = serial)",
-    )
-    parser.add_argument(
-        "--policy", default="hash", choices=("round-robin", "hash", "balanced"),
-        help="partition policy for the sharded engines",
-    )
-    parser.add_argument(
-        "--backend", default=None, choices=("interp", "vector", "procpool"),
-        help="kernel backend for the sharded engines (the monolithic "
-        "baseline keeps the default kernel; procpool is sharded-only)",
-    )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best kept)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--save", action="store_true", help=f"write table to {RESULTS_PATH}")
@@ -283,21 +235,18 @@ def main(argv=None):
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="X",
-        help="perf gate: exit 1 unless the serial sharded engine at S shards "
+        help="perf gate: exit 1 unless the sharded engine at S shards "
         "(--shards) beats the monolithic baseline by at least X on the "
         "churn stream",
     )
     args = parser.parse_args(argv)
     if args.shards is not None and args.shards not in args.shards_list:
         args.shards_list = sorted(set(args.shards_list) | {args.shards})
-    if args.min_speedup is not None and 0 not in args.workers_list:
-        args.workers_list = sorted(set(args.workers_list) | {0})
 
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
         args.subscriptions, args.events, args.pool, args.churn,
-        args.shards_list, args.workers_list, args.policy, args.repeats,
-        args.seed, args.backend,
+        args.shards_list, args.repeats, args.seed,
     )
     print(table)
     if args.save:
@@ -314,9 +263,7 @@ def main(argv=None):
             parser.error("--min-speedup requires --shards")
         gate_row = next(
             row for row in rows
-            if row["stream"] == "churn"
-            and row["shards"] == args.shards
-            and row["workers"] == 0
+            if row["stream"] == "churn" and row["shards"] == args.shards
         )
         if gate_row["speedup"] < args.min_speedup:
             print(

@@ -59,13 +59,14 @@ def _speedup_cell(payload: Dict[str, Any]) -> Any:
     (backend_scaling), the largest subscription count (compare_engines and
     aggregation_scaling — the latter's baseline may be skipped at scale, so
     the cell can be empty), the pooled stream's largest batch
-    (batch_scaling), or the churn stream's best serial shard count
-    (shard_scaling).
+    (batch_scaling), or the churn stream's best shard count (shard_scaling;
+    archives from before thread workers were removed count serial rows
+    only).
     """
     rows = payload.get("extra", {}).get("rows")
     if not rows:
         return ""
-    if any("mode" in row for row in rows):
+    if any("backend" in row for row in rows):
         gate_row = next(
             (row for row in rows if row.get("backend") == "vector"), rows[0]
         )
@@ -80,7 +81,7 @@ def _speedup_cell(payload: Dict[str, Any]) -> Any:
             row
             for row in rows
             if row.get("stream") == "churn"
-            and row.get("workers") == 0
+            and row.get("workers", 0) == 0
             and row.get("shards", 0) > 0
         ]
         if not serial_churn:
@@ -145,11 +146,11 @@ def _backend_cell(payload: Dict[str, Any]) -> Any:
     """The kernel backend a sweep ran on.
 
     backend_scaling artifacts sweep the whole axis; the other scripts
-    record a single ``--backend`` choice in their workload block (absent
-    or null means the engine default).
+    record their engine spec's backend in their workload block (absent or
+    null means the engine default).
     """
     rows = payload.get("extra", {}).get("rows") or []
-    if any("mode" in row for row in rows):
+    if any("backend" in row for row in rows):
         # Same headline row the speedup cell shows.
         gate_row = next(
             (row for row in rows if row.get("backend") == "vector"), rows[0]

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Union
 
-from repro.errors import SubscriptionError
 from repro.broker.codec import decode_event, encode_event
 from repro.matching.base import MatcherEngine
-from repro.matching.engines import DEFAULT_ENGINE, create_engine
+from repro.matching.engines import DEFAULT_ENGINE, EngineSpec, create_matcher, engine_spec
 from repro.matching.events import Event
 from repro.matching.optimizations import FactoredMatcher
 from repro.matching.parser import parse_predicate
@@ -31,11 +30,13 @@ from repro.matching.schema import AttributeValue, EventSchema
 class MatchingEngine:
     """Subscription manager + event parser over one information space.
 
-    ``engine`` selects the matching implementation — ``"compiled"`` (the
-    default: array kernels from :mod:`repro.matching.compile`) or ``"tree"``
-    (the object-graph PST).  With ``factoring_attributes`` the matcher is a
-    :class:`FactoredMatcher` whose sub-trees are searched with the selected
-    engine."""
+    ``engine`` is an :class:`~repro.matching.engines.EngineSpec` or its
+    string form — ``"compiled"`` (the default: array kernels from
+    :mod:`repro.matching.compile`), ``"tree"`` (the object-graph PST),
+    ``"sharded/4"``, ``"compiled:vector+agg"`` and so on.  With
+    ``factoring_attributes`` the matcher is a :class:`FactoredMatcher`
+    whose sub-trees are searched with the selected engine, when the spec
+    allows factoring (see :func:`~repro.matching.engines.create_matcher`)."""
 
     def __init__(
         self,
@@ -44,51 +45,17 @@ class MatchingEngine:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = DEFAULT_ENGINE,
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
+        engine: Union[str, EngineSpec] = DEFAULT_ENGINE,
     ) -> None:
         self.schema = schema
-        self.engine = engine
-        if aggregate:
-            # Aggregation compresses the subscription set inside the engine;
-            # factoring splits it before the engine sees it — aggregation
-            # takes precedence (mirrors ContentRouter).
-            factoring_attributes = None
-        if engine == "sharded":
-            # Sharding is itself a partitioned index; it takes precedence
-            # over factoring (FactoredMatcher only wraps tree/compiled).
-            factoring_attributes = None
-        if factoring_attributes:
-            if domains is None:
-                raise SubscriptionError("factoring requires finite attribute domains")
-            self.matcher: Union[MatcherEngine, FactoredMatcher] = FactoredMatcher(
-                schema,
-                factoring_attributes,
-                domains,
-                residual_order=(
-                    [n for n in attribute_order if n not in factoring_attributes]
-                    if attribute_order is not None
-                    else None
-                ),
-                engine=engine,
-                backend=backend,
-            )
-        else:
-            self.matcher = create_engine(
-                engine,
-                schema,
-                attribute_order=attribute_order,
-                domains=domains,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
-                backend=backend,
-                aggregate=aggregate,
-            )
+        self.engine = engine_spec(engine)
+        self.matcher: Union[MatcherEngine, FactoredMatcher] = create_matcher(
+            self.engine,
+            schema,
+            attribute_order=attribute_order,
+            domains=domains,
+            factoring_attributes=factoring_attributes,
+        )
 
     # ------------------------------------------------------------------
     # Subscription manager

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ProtocolError, RoutingError, TransportError
 from repro.broker import messages as wire
@@ -38,6 +38,7 @@ from repro.broker.event_log import EventLog
 from repro.broker.transport import Connection, Listener, Transport
 from repro.core.router import ContentRouter
 from repro.matching.digest import MatchDigest
+from repro.matching.engines import EngineSpec, engine_spec
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -60,12 +61,7 @@ class BrokerNetworkConfig:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
+        engine: Union[str, EngineSpec] = "compiled",
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -75,12 +71,7 @@ class BrokerNetworkConfig:
         self.attribute_order = attribute_order
         self.domains = domains
         self.factoring_attributes = factoring_attributes
-        self.engine = engine
-        self.shards = shards
-        self.shard_policy = shard_policy
-        self.shard_workers = shard_workers
-        self.backend = backend
-        self.aggregate = aggregate
+        self.engine = engine_spec(engine)
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
@@ -144,11 +135,6 @@ class BrokerNode:
             domains=config.domains,
             factoring_attributes=config.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         #: When set, per-client event logs are persisted under this
         #: directory (one subdirectory per broker), so reliable redelivery

@@ -38,6 +38,8 @@ from repro.experiments import (
     run_throughput,
     run_virtual_link_ablation,
 )
+from repro.errors import SubscriptionError
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 
 from repro.experiments.ascii_chart import (
@@ -46,6 +48,13 @@ from repro.experiments.ascii_chart import (
     chart3_series,
     render_chart,
 )
+
+
+def _engine_spec(text: str) -> EngineSpec:
+    try:
+        return EngineSpec.parse(text)
+    except SubscriptionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,46 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("tree", "compiled", "sharded"),
+        type=_engine_spec,
         default="compiled",
-        help="matching engine: array kernels (compiled, default), the "
-        "object-graph PST (tree), or partitioned compiled shards (sharded)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help="number of shards for --engine sharded (default: engine's own)",
-    )
-    parser.add_argument(
-        "--shard-policy",
-        choices=("round-robin", "hash", "balanced"),
-        default=None,
-        help="partition policy for --engine sharded (default: hash)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="thread-pool width for --engine sharded (0 = serial, the "
-        "default; threads only pay off on GIL-free builds)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("interp", "vector", "procpool"),
-        default=None,
-        help="kernel execution backend: reference interpreter loops "
-        "(interp, the default), columnar bulk-array kernels (vector), or "
-        "shared-memory process workers for --engine sharded (procpool)",
-    )
-    parser.add_argument(
-        "--aggregate",
-        action="store_true",
-        help="compress the subscription set with the online covering forest "
-        "before compilation (dedupes identical predicate bodies and folds "
-        "covered predicates under their covering parent)",
+        metavar="SPEC",
+        help="matching engine as KIND[/SHARDS][:BACKEND][+agg]: KIND is "
+        "compiled (array kernels, the default), tree (the object-graph PST) "
+        "or sharded (partitioned compiled shards, /SHARDS of them, default "
+        "4); BACKEND is interp (default) or vector (numpy bulk kernels; "
+        "interp when numpy is missing); +agg compresses the subscription "
+        "set with the online covering forest first.  Examples: compiled, "
+        "compiled:vector+agg, sharded/4+agg, tree",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -152,11 +131,6 @@ def _run_chart1(args: argparse.Namespace) -> None:
         probe_duration_s=args.probe_duration or (0.5 if args.paper_scale else 0.4),
         include_match_first=args.match_first,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart1(config)
@@ -184,11 +158,6 @@ def _run_chart2(args: argparse.Namespace) -> None:
         num_events=args.events or (1000 if args.paper_scale else 120),
         subscribers_per_broker=10 if args.paper_scale else 3,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart2(config)
@@ -214,11 +183,6 @@ def _run_chart3(args: argparse.Namespace) -> None:
         ),
         num_events=args.events or (300 if args.paper_scale else 150),
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart3(config)
@@ -238,11 +202,6 @@ def _run_throughput(args: argparse.Namespace) -> None:
         subscription_counts=(10, 100, 1000, 5000) if args.paper_scale else (10, 100, 1000),
         num_events=4000 if args.paper_scale else 1500,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     print(run_throughput(config).format())
@@ -258,11 +217,6 @@ def _run_bursty(args: argparse.Namespace) -> None:
         else (1.0, 2.0, 5.0, 10.0),
         duration_s=2.0 if args.paper_scale else 0.8,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     print(run_bursty(config).format())
@@ -346,11 +300,6 @@ def _run_demo(args: argparse.Namespace) -> None:
         topology,
         stock_trade_schema(),
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
-        backend=args.backend,
-        aggregate=args.aggregate,
     )
     network.subscribe("alice", "issue='IBM' & price<120 & volume>1000")
     network.subscribe("bob", "volume>50000")

@@ -16,7 +16,7 @@ latencies over the same route decisions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import RoutingError, TopologyError
 from repro.core.router import ContentRouter, RouteDecision
@@ -29,6 +29,9 @@ from repro.network.paths import RoutingTable, all_routing_tables
 from repro.network.spanning import SpanningTree, spanning_trees_for_publishers
 from repro.network.topology import NodeKind, Topology
 from repro.obs import get_registry
+
+if TYPE_CHECKING:
+    from repro.matching.engines import EngineSpec
 
 
 class DeliveryTrace:
@@ -140,12 +143,7 @@ class ContentRoutedNetwork:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
+        engine: Union[str, "EngineSpec"] = "compiled",
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -165,11 +163,6 @@ class ContentRoutedNetwork:
                 domains=domains,
                 factoring_attributes=factoring_attributes,
                 engine=engine,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
-                backend=backend,
-                aggregate=aggregate,
             )
             for broker in topology.brokers()
         }

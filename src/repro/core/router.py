@@ -4,9 +4,9 @@ Per the paper, "each broker in the network has a copy of all the
 subscriptions, organized into a PST" (Section 3.1).  A :class:`ContentRouter`
 is that per-broker state:
 
-* the broker's matcher (a :class:`~repro.matching.base.MatcherEngine` — tree
-  or compiled, selected by the ``engine`` parameter — or a
-  :class:`FactoredMatcher` when factoring is enabled),
+* the broker's matcher (a :class:`~repro.matching.base.MatcherEngine`
+  selected by the ``engine`` spec — or a :class:`FactoredMatcher` when
+  factoring is enabled and the spec allows it),
 * its :class:`VirtualLinkTable` (virtual links + one initialization mask per
   spanning tree),
 * the trit-vector annotations of the matcher's tree(s) — maintained
@@ -22,9 +22,19 @@ them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import TreeAnnotation
 from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.masks import VirtualLinkTable
@@ -41,6 +51,9 @@ from repro.network.paths import RoutingTable
 from repro.obs import get_registry
 from repro.network.spanning import SpanningTree
 from repro.network.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.matching.engines import EngineSpec
 
 
 class RouteDecision:
@@ -107,17 +120,17 @@ class ContentRouter:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
+        engine: Union[str, "EngineSpec"] = "compiled",
     ) -> None:
+        # Imported here rather than at module scope: repro.matching.engines
+        # imports repro.core submodules, so a module-level import would
+        # cycle when repro.matching.engines is the entry point.
+        from repro.matching.engines import create_matcher, engine_spec
+
         self.topology = topology
         self.broker = broker
         self.schema = schema
-        self.engine = engine
+        self.engine = engine_spec(engine)
         # Declared domains are a *contract*: annotation treats them as the
         # exhaustive value universe (that is what lets a covered level
         # promote to Yes, and what makes range annotations precise), so
@@ -130,49 +143,22 @@ class ContentRouter:
         self.links = VirtualLinkTable(topology, broker, routing_table, spanning_trees)
         self._factored: Optional[FactoredMatcher] = None
         self._engine: Optional[MatcherEngine] = None
-        if engine == "sharded":
-            # The sharded engine is itself a partitioned index (the hash
-            # policy partitions by first indexed attribute — factoring's own
-            # idea), so sharding takes precedence over factoring.
-            factoring_attributes = None
-        if aggregate:
-            # Aggregation compresses the engine's subscription set; the
-            # factored matcher splits subscriptions across sub-trees before
-            # the engine sees them, which would defeat (and complicate) the
-            # covering forest — aggregation takes precedence.
-            factoring_attributes = None
-        if factoring_attributes:
-            if domains is None:
-                raise RoutingError("factoring requires finite attribute domains")
-            self._factored = FactoredMatcher(
-                schema,
-                factoring_attributes,
-                domains,
-                residual_order=(
-                    [n for n in attribute_order if n not in factoring_attributes]
-                    if attribute_order is not None
-                    else None
-                ),
-                engine=engine,
-                backend=backend,
-            )
-        else:
-            # Imported here rather than at module scope: repro.matching.engines
-            # imports repro.core submodules, so a module-level import would
-            # cycle when repro.matching.engines is the entry point.
-            from repro.matching.engines import create_engine
-
-            self._engine = create_engine(
-                engine,
+        try:
+            matcher = create_matcher(
+                self.engine,
                 schema,
                 attribute_order=attribute_order,
                 domains=domains,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
-                backend=backend,
-                aggregate=aggregate,
+                factoring_attributes=factoring_attributes,
             )
+        except SubscriptionError as exc:
+            # A matcher this router cannot build (e.g. factoring without
+            # finite domains) is a routing-configuration error here.
+            raise RoutingError(str(exc)) from exc
+        if isinstance(matcher, FactoredMatcher):
+            self._factored = matcher
+        else:
+            self._engine = matcher
             self._engine.bind_links(self.links.num_links, self._link_of_subscriber)
         # Per-sub-tree link-matching state for the factored matcher; the
         # non-factored path keeps its annotations inside the engine instead.
@@ -299,7 +285,7 @@ class ContentRouter:
         self._annotations.clear()
         self._programs.clear()
         for _key, tree in self._factored.trees():
-            if self.engine == "compiled":
+            if self.engine.kind == "compiled":
                 program = compile_tree(tree)
                 program.annotate(self.links.num_links, self._link_of_subscriber)
                 self._programs[id(tree)] = program
@@ -346,7 +332,7 @@ class ContentRouter:
             tree = self._factored.tree_for_event(event)
             if tree is None:
                 final = LinkMatchResult(mask.close_maybes(), 1)
-            elif self.engine == "compiled":
+            elif self.engine.kind == "compiled":
                 program = self._programs.get(id(tree))
                 if program is None:
                     raise RoutingError("matcher tree appeared after annotation refresh")
@@ -397,7 +383,7 @@ class ContentRouter:
                 groups[id(tree)] = (tree, [i])
             else:
                 entry[1].append(i)
-        if self.engine == "compiled":
+        if self.engine.kind == "compiled":
             yes_bits, maybe_bits = pack_tritvector(mask)
             for tree_id, (tree, indices) in groups.items():
                 program = self._programs.get(tree_id)

@@ -22,9 +22,10 @@ Expected shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple, Union
 
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.network.figures import figure6_topology
 from repro.protocols.base import ProtocolContext, RoutingProtocol
 from repro.protocols.flooding import FloodingProtocol
@@ -47,16 +48,9 @@ class BaselineConfig:
     publish_rate: float = 1500.0
     num_events_per_publisher: int = 150
     seed: int = 0
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
 
 
 def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> ExperimentTable:
@@ -92,11 +86,6 @@ def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> Experi
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         protocols: List[RoutingProtocol] = [
             LinkMatchingProtocol(context),

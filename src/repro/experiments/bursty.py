@@ -12,9 +12,10 @@ below the Poisson saturation point bursts consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 from repro.network.figures import figure6_topology
 from repro.protocols.base import ProtocolContext
@@ -40,16 +41,9 @@ class BurstyConfig:
     duration_s: float = 1.0
     on_mean_s: float = 0.05
     seed: int = 0
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -85,11 +79,6 @@ def _run_bursty(config: BurstyConfig) -> ExperimentTable:
         domains=spec.domains(),
         factoring_attributes=spec.factoring_attributes,
         engine=config.engine,
-        shards=config.shards,
-        shard_policy=config.shard_policy,
-        shard_workers=config.shard_workers,
-        backend=config.backend,
-        aggregate=config.aggregate,
     )
     protocol = LinkMatchingProtocol(context)
     publishers = topology.publishers()

@@ -15,9 +15,10 @@ tracked events, Zipf values, locality of interest, Poisson arrivals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 from repro.network.figures import figure6_topology
 from repro.network.topology import Topology
@@ -53,16 +54,9 @@ class Chart1Config:
     max_rate: float = 5e5
     seed: int = 0
     include_match_first: bool = False
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -140,11 +134,6 @@ def _run_chart1(config: Chart1Config) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for protocol in _protocols(context, config):
             result = saturation_for(topology, protocol, events, config)

@@ -20,10 +20,11 @@ attribute, non-``*`` probability 0.98 decaying at 82%, 1000 events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.fabric import ContentRoutedNetwork
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 from repro.network.figures import figure6_topology
 from repro.workload.generators import (
@@ -47,16 +48,9 @@ class Chart2Config:
     max_hops: int = 6
     seed: int = 0
     use_factoring: bool = True
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -138,11 +132,6 @@ def _run_chart2(config: Chart2Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in subscriptions:
             network.subscribe(subscription.subscriber, subscription.predicate)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.broker.engine import MatchingEngine
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import CHART1_SPEC, WorkloadSpec
@@ -35,16 +36,9 @@ class Chart3Config:
     num_events: int = 200
     seed: int = 0
     use_factoring: bool = True
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -107,11 +101,6 @@ def _run_chart3(config: Chart3Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in subscriptions:
             engine.matcher.insert(subscription)

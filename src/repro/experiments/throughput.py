@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.broker.client import BrokerClient
 from repro.broker.engine import MatchingEngine
 from repro.broker.node import BrokerNetworkConfig, BrokerNode
 from repro.broker.transport import InMemoryTransport
 from repro.experiments.tables import ExperimentTable
+from repro.matching.engines import EngineSpec
 from repro.obs import metrics_output
 from repro.network.topology import NodeKind, Topology
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
@@ -38,16 +39,9 @@ class ThroughputConfig:
     num_subscriber_clients: int = 10
     num_events: int = 2000
     seed: int = 0
-    engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
+    #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
+    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -87,11 +81,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         transport = InMemoryTransport()
         node = BrokerNode(broker_config, "B0", transport, {"B0": "mem://B0"})
@@ -126,11 +115,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in node.router.matcher.subscriptions:
             engine.matcher.insert(subscription)

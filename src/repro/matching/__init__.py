@@ -45,8 +45,10 @@ _ENGINE_EXPORTS = (
     "CompiledEngine",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
+    "EngineSpec",
     "TreeEngine",
     "create_engine",
+    "create_matcher",
 )
 
 
@@ -70,6 +72,7 @@ __all__ = [
     "DagNode",
     "DontCare",
     "ENGINE_NAMES",
+    "EngineSpec",
     "EqualityTest",
     "Event",
     "EventSchema",
@@ -83,6 +86,7 @@ __all__ = [
     "TreeEngine",
     "compile_tree",
     "create_engine",
+    "create_matcher",
     "ParallelSearchTree",
     "PSTNode",
     "Predicate",

@@ -77,7 +77,7 @@ predicate (every entry containing — or now owed — that group keys an event
 its canonical accepts), falling back to a wholesale flush only past
 :data:`DESCENT_REPAIR_SCAN_LIMIT` entries.  Everything downstream — trit
 annotations, :class:`~repro.matching.compile.ProjectionCache`, surgical
-shard-cache repair, batching, and all three kernel backends — runs
+shard-cache repair, batching, and both kernel backends — runs
 unchanged over the compressed program.
 
 Observability: ``match.aggregation.compression_ratio`` (subscriptions per
@@ -97,7 +97,7 @@ from repro.errors import SubscriptionError
 from repro.core.annotation import LinkOfSubscriber
 from repro.core.link_matcher import LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
-from repro.matching.backends import kernel_backend_for
+from repro.matching.backends import DEFAULT_BACKEND
 from repro.matching.base import MatcherEngine
 from repro.matching.compile import (
     CompiledProgram,
@@ -231,7 +231,7 @@ class AggregatingEngine(MatcherEngine):
     count plus one step per covered group evaluated during forest descent.
 
     Construct directly around an engine instance, or through
-    :func:`~repro.matching.engines.create_engine` with ``aggregate=True``.
+    :func:`~repro.matching.engines.create_engine` with a ``+agg`` spec.
     """
 
     name = "aggregating"
@@ -258,11 +258,8 @@ class AggregatingEngine(MatcherEngine):
         #: The attribute-inverted cover-candidate index; ``None`` in linear
         #: (``use_index=False``) mode.
         self._index: Optional[CoveringIndex] = CoveringIndex() if use_index else None
-        #: Kernel backend for descent mini-programs: whatever in-process
-        #: kernel the inner engine's execution mode corresponds to.
-        self._descent_backend = kernel_backend_for(
-            getattr(inner, "backend_name", None)
-        )
+        #: Kernel backend for descent mini-programs: the inner engine's own.
+        self._descent_backend = getattr(inner, "backend_name", DEFAULT_BACKEND)
         #: canonical predicate -> group, for every live group.
         self._groups: Dict[Predicate, _Group] = {}
         #: canonical predicate -> group, roots only (insertion-ordered).
@@ -639,17 +636,6 @@ class AggregatingEngine(MatcherEngine):
         survives; the next match recompiles the deduplicated leaves)."""
         self._descent_cache.flush()
         self.inner.invalidate()
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "AggregatingEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Matching (expansion at the engine boundary)

@@ -15,51 +15,36 @@ Backends (:data:`BACKEND_NAMES`):
     verbatim from ``compile.py``.  Every other backend is pinned against it
     by the property suite (``tests/property/test_prop_backends.py``).
 ``vector``
-    A columnar backend that advances a whole ``(node, event)`` frontier one
-    tree level at a time with bulk array operations — numpy when it is
-    importable, a zero-dependency ``array``-column fallback otherwise.
-    Identical match sets, step counts, and masks; only match-list order
-    (already unspecified between the engines' batch and single paths) and
-    the wall clock change.  See :mod:`repro.matching.backends.vector`.
-``procpool``
-    Not a kernel backend but an *execution mode* of
-    :class:`~repro.matching.sharding.ShardedEngine`: shard programs are
-    published once into :mod:`multiprocessing.shared_memory` and matched in
-    GIL-free worker processes, with generation-tagged republish after
-    churn.  See :mod:`repro.matching.backends.procpool`.  Asking
-    :func:`create_backend` for it is an error — select it through
-    ``create_engine(engine="sharded", backend="procpool")``.
+    A numpy backend that advances a whole ``(node, event)`` frontier one
+    tree level at a time with bulk array operations.  Identical match sets,
+    step counts, and masks; only match-list order (already unspecified
+    between the engines' batch and single paths) and the wall clock change.
+    See :mod:`repro.matching.backends.vector`.  numpy is optional: without
+    it :func:`resolve_backend` turns ``vector`` into ``interp``, so an
+    engine spec always names the backend that actually runs.
 
 The kernel interface is deliberately narrow: kernels receive the program
 plus plain value tuples (events are projected by the caller) and return
 plain ``(matched, steps)`` data.  A program is anything exposing the record
 surface (:attr:`~repro.matching.compile.CompiledProgram._records`,
 ``value_ids``, ``ann_yes``, ``ann_maybe``, ``generation``,
-``backend_state``) — which is what lets the procpool workers run the same
-kernels over a :class:`~repro.matching.backends.procpool.ProgramImage`
-reconstructed from shared memory instead of a live ``CompiledProgram``.
+``backend_state``).
 
 ``program.generation`` increments on every mutation of the record arrays
 (patch or re-annotation) and ``program.backend_state`` is a scratch dict
 cleared alongside it: backends key derived structures (the vector backend's
-columnar index, the procpool publisher's shared-memory segments) on the
-generation and rebuild lazily when it moves.
+columnar index) on the generation and rebuild lazily when it moves.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SubscriptionError
 
-#: Valid backend names, in documentation order.  ``procpool`` is accepted
-#: everywhere a backend name is threaded (CLI, configs, ``create_engine``)
-#: but resolves to a sharded-engine execution mode, not a kernel backend.
-BACKEND_NAMES = ("interp", "vector", "procpool")
-
-#: Backends that execute kernels in-process over a program's records.
-KERNEL_BACKEND_NAMES = ("interp", "vector")
+#: Valid backend names, in documentation order.
+BACKEND_NAMES = ("interp", "vector")
 
 #: The backend used when callers do not choose one.
 DEFAULT_BACKEND = "interp"
@@ -124,35 +109,22 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def kernel_backend_for(backend: Optional[str]) -> str:
-    """The in-process kernel equivalent of an engine's ``backend`` choice.
-
-    Auxiliary programs — the aggregation layer's compiled descent subtrees —
-    run in the caller's process whatever execution mode the host engine
-    uses, so ``procpool`` (a sharded-engine process-worker mode whose
-    workers run the vector kernel) maps to ``vector``; the kernel backends
-    map to themselves and ``None`` means :data:`DEFAULT_BACKEND`.
-    """
-    if backend is None:
-        return DEFAULT_BACKEND
+def resolve_backend(backend: str) -> str:
+    """The backend that will actually run for ``backend``: itself, except
+    ``vector`` without an importable numpy, which runs as ``interp``."""
     validate_backend(backend)
-    return "vector" if backend == "procpool" else backend
+    if backend == "vector":
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            return DEFAULT_BACKEND
+    return backend
 
 
 def create_backend(backend: str) -> KernelBackend:
-    """The kernel backend singleton named ``backend``.
-
-    ``procpool`` is rejected here by design: it is a process-worker
-    execution mode of the sharded engine, not an in-process kernel —
-    select it with ``create_engine(engine="sharded", backend="procpool")``.
-    """
-    validate_backend(backend)
-    if backend == "procpool":
-        raise SubscriptionError(
-            "backend 'procpool' is a ShardedEngine execution mode — "
-            "select it with engine='sharded' (e.g. create_engine('sharded', "
-            "..., backend='procpool')), not as an in-process kernel backend"
-        )
+    """The kernel backend singleton for ``backend`` (after
+    :func:`resolve_backend`)."""
+    backend = resolve_backend(backend)
     instance = _instances.get(backend)
     if instance is None:
         if backend == "interp":

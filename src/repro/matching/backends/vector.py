@@ -43,11 +43,8 @@ event's bit survives a root-to-node path exactly when every edge on the
 path accepts its value, which is precisely the single-event reachability
 condition.
 
-The zero-dependency fallback keeps the level-major structure over
-``array('q')`` columns with one ``(node, event)`` entry per pair (no numpy
-import anywhere on that path).  Both paths read only the program's record
-surface, so they also run inside procpool workers over a
-:class:`~repro.matching.backends.procpool.ProgramImage`.
+numpy is required here; without it the backend registry resolves
+``vector`` to ``interp`` before this module is ever imported.
 
 The link refinement (Section 3.3) is different: its early exits depend on
 the mask accumulated *so far*, so the search itself is inherently
@@ -76,18 +73,14 @@ the native path.
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import RoutingError
 from repro.matching.backends import KernelBackend
 from repro.matching.backends.interp import InterpBackend
-
-try:  # numpy is optional by design: the fallback is part of the contract
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_fallback tests
-    _np = None
 
 #: ``backend_state`` slot the columnar index lives under.
 _STATE_KEY = "vector.index"
@@ -100,8 +93,7 @@ _CHUNK = 64
 
 
 class _ColumnarIndex:
-    """Per-generation columnar view of one program's records (numpy only —
-    the zero-dep fallback walks ``program._records`` directly).
+    """Per-generation columnar view of one program's records.
 
     Value-table edges are flattened node-major into ``edge_pvid`` /
     ``edge_children`` with per-node ranges in ``edge_start`` (length
@@ -135,7 +127,6 @@ class _ColumnarIndex:
     )
 
     def __init__(self, program) -> None:
-        np = _np
         records = program._records
         n = len(records)
         self.generation = program.generation
@@ -188,17 +179,11 @@ class _ColumnarIndex:
 
 
 class VectorBackend(KernelBackend):
-    """Bulk-array kernel execution (numpy or zero-dep columns).
-
-    ``force_fallback=True`` pins the instance to the no-numpy path; the
-    equivalence tests use it so the fallback is exercised even on machines
-    where numpy is importable.
-    """
+    """Bulk-array kernel execution over numpy columns."""
 
     name = "vector"
 
-    def __init__(self, *, force_fallback: bool = False) -> None:
-        self._np = None if force_fallback else _np
+    def __init__(self) -> None:
         self._interp = InterpBackend()
 
     # -- single-event match: delegation ---------------------------------
@@ -228,10 +213,7 @@ class VectorBackend(KernelBackend):
         results: List[Tuple[int, int]] = []
         for offset in range(0, len(value_tuples), _CHUNK):
             chunk = value_tuples[offset : offset + _CHUNK]
-            if self._np is None:
-                reach = self._reach_columns(program, chunk)
-            else:
-                reach = self._reach_chunk_numpy(program, chunk)
+            reach = self._reach_chunk(program, chunk)
             for e, values in enumerate(chunk):
                 results.append(
                     self._replay_links(
@@ -333,10 +315,9 @@ class VectorBackend(KernelBackend):
             cur_maybe = frame_maybe
             entering = True
 
-    def _reach_chunk_numpy(self, program, value_tuples: Sequence[tuple]) -> List[int]:
+    def _reach_chunk(self, program, value_tuples: Sequence[tuple]) -> List[int]:
         """Per-node reached-by bitmasks for one <=64-event chunk, via the
         same level-major frontier as the match kernel (minus leaf drains)."""
-        np = self._np
         index = self._index(program)
         n = len(value_tuples)
         ids_get = program.value_ids.get
@@ -430,49 +411,6 @@ class VectorBackend(KernelBackend):
             masks = next_masks
         return reach
 
-    def _reach_columns(self, program, value_tuples: Sequence[tuple]) -> List[int]:
-        """Zero-dependency reach masks: the fallback's level-major walk with
-        per-``(node, event)`` entries, OR-ing each visit into the node's
-        bitmask."""
-        records = program._records
-        ids_get = program.value_ids.get
-        n = len(value_tuples)
-        interned = [
-            [ids_get(value, -1) for value in values] for values in value_tuples
-        ]
-        reach = [0] * len(records)
-        nodes = array("q", bytes(8 * n))
-        events = array("q", range(n))
-        while nodes:
-            next_nodes = array("q")
-            next_events = array("q")
-            push_node = next_nodes.append
-            push_event = next_events.append
-            for k in range(len(nodes)):
-                node = nodes[k]
-                e = events[k]
-                reach[node] |= 1 << e
-                position, table, ranges, star_child, _subs = records[node]
-                if position < 0:
-                    continue
-                if table is not None:
-                    child = table.get(interned[e][position])
-                    if child is not None:
-                        push_node(child)
-                        push_event(e)
-                if ranges is not None:
-                    value = value_tuples[e][position]
-                    for test, range_child in ranges:
-                        if test.evaluate(value):
-                            push_node(range_child)
-                            push_event(e)
-                if star_child >= 0:
-                    push_node(star_child)
-                    push_event(e)
-            nodes = next_nodes
-            events = next_events
-        return reach
-
     # -- the batched kernel ---------------------------------------------
 
     def _index(self, program) -> _ColumnarIndex:
@@ -488,23 +426,20 @@ class VectorBackend(KernelBackend):
     ) -> List[Tuple[list, int]]:
         if not value_tuples:
             return []
-        if self._np is None:
-            return self._match_batch_columns(program, value_tuples)
         if len(value_tuples) <= _CHUNK:
-            return self._match_chunk_numpy(program, value_tuples)
+            return self._match_chunk(program, value_tuples)
         results: List[Tuple[list, int]] = []
         for offset in range(0, len(value_tuples), _CHUNK):
             results.extend(
-                self._match_chunk_numpy(
+                self._match_chunk(
                     program, value_tuples[offset : offset + _CHUNK]
                 )
             )
         return results
 
-    def _match_chunk_numpy(
+    def _match_chunk(
         self, program, value_tuples: Sequence[tuple]
     ) -> List[Tuple[list, int]]:
-        np = self._np
         index = self._index(program)
         n = len(value_tuples)
         ids_get = program.value_ids.get
@@ -631,53 +566,3 @@ class VectorBackend(KernelBackend):
         bits = np.unpackbits(all_masks.view(np.uint8), bitorder="little")
         steps = bits.reshape(-1, _CHUNK).sum(axis=0, dtype=np.int64)[:n].tolist()
         return list(zip(matched, steps))
-
-    def _match_batch_columns(
-        self, program, value_tuples: Sequence[tuple]
-    ) -> List[Tuple[list, int]]:
-        """The zero-dependency path: same level-major columns, ``array('q')``
-        storage, scalar transitions.  Exactness over speed — without numpy
-        the bulk operations have no hardware to win on, but the backend must
-        still answer (and answer identically) wherever it is selected."""
-        records = program._records
-        value_ids = program.value_ids
-        ids_get = value_ids.get
-        n = len(value_tuples)
-        interned = [
-            [ids_get(value, -1) for value in values] for values in value_tuples
-        ]
-        matched: List[list] = [[] for _ in range(n)]
-        steps = [0] * n
-        nodes = array("q", bytes(8 * n))  # all-zero: every event at the root
-        events = array("q", range(n))
-        while nodes:
-            next_nodes = array("q")
-            next_events = array("q")
-            push_node = next_nodes.append
-            push_event = next_events.append
-            for k in range(len(nodes)):
-                node = nodes[k]
-                e = events[k]
-                steps[e] += 1
-                position, table, ranges, star_child, subs = records[node]
-                if position < 0:
-                    if subs is not None:
-                        matched[e].extend(subs)
-                    continue
-                if table is not None:
-                    child = table.get(interned[e][position])
-                    if child is not None:
-                        push_node(child)
-                        push_event(e)
-                if ranges is not None:
-                    value = value_tuples[e][position]
-                    for test, range_child in ranges:
-                        if test.evaluate(value):
-                            push_node(range_child)
-                            push_event(e)
-                if star_child >= 0:
-                    push_node(star_child)
-                    push_event(e)
-            nodes = next_nodes
-            events = next_events
-        return [(matched[i], steps[i]) for i in range(n)]

@@ -77,7 +77,6 @@ refined link masks.  Two mechanisms exploit this:
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -112,11 +111,6 @@ DEFAULT_MATCH_CACHE_CAPACITY = 4096
 #: discards a hot cache is costing real work the structural waste metric
 #: cannot see, so residency pushes the program toward a compact recompile.
 _CACHE_RESIDENCY_WASTE_SHIFT = 2  # charge = flushed_entries >> 2
-
-#: Per-process unique ids for compiled programs; ``(program_uid,
-#: generation)`` is the identity the procpool backend keys its
-#: shared-memory publications on (``id()`` can be recycled, this cannot).
-_program_uids = itertools.count()
 
 
 class ProjectionCache:
@@ -254,7 +248,6 @@ class CompiledProgram:
         "backend",
         "generation",
         "backend_state",
-        "program_uid",
         "_obs_kernel_calls",
         "_obs_kernel_events",
         # projection caching
@@ -314,12 +307,11 @@ class CompiledProgram:
             create_backend(backend) if isinstance(backend, str) else backend
         )
         #: Bumped on every mutation of the record arrays (patch, annotate);
-        #: backends key derived state on it and republish/rebuild lazily.
+        #: backends key derived state on it and rebuild lazily.
         self.generation = 0
         #: Backend-owned scratch (vector's columnar index, …), cleared on
         #: every generation bump.
         self.backend_state: Dict[str, object] = {}
-        self.program_uid = next(_program_uids)
         registry = get_registry()
         self._obs_kernel_calls = registry.counter(
             "engine.backend.kernel_calls", backend=self.backend.name
@@ -870,8 +862,7 @@ class CompiledProgram:
 
         Called after any mutation of the arrays backends execute over
         (:meth:`patch`, :meth:`annotate`): the vector backend rebuilds its
-        columnar index lazily, the procpool publisher republishes the
-        program into shared memory under the new generation tag.
+        columnar index lazily.
         """
         self.generation += 1
         if self.backend_state:
@@ -1038,7 +1029,7 @@ def compile_tree(
     ``cache_capacity`` bounds each of the program's two projection caches
     (match and link); pass ``0`` to disable caching entirely.  ``backend``
     selects the kernel execution backend (a
-    :data:`~repro.matching.backends.KERNEL_BACKEND_NAMES` name or a
+    :data:`~repro.matching.backends.BACKEND_NAMES` name or a
     :class:`~repro.matching.backends.KernelBackend` instance); ``None``
     means :data:`~repro.matching.backends.DEFAULT_BACKEND`.
     """

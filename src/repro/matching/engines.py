@@ -13,13 +13,20 @@ Both engines produce identical match sets, identical step counts, and
 identical refined link masks (the equivalence property test in
 ``tests/property/test_prop_engine_equivalence.py`` pins this down); the
 compiled engine is simply faster per event, while the tree engine has no
-compile step and is the easier one to read next to the paper.  Consumers
-pick by name through :func:`create_engine`; the project default is
+compile step and is the easier one to read next to the paper.
+
+Consumers choose an engine with one :class:`EngineSpec` — or its string
+form, ``KIND[/SHARDS][:BACKEND][+agg]`` such as ``compiled``,
+``compiled:vector+agg``, ``sharded/4+agg`` or ``tree`` — and build it
+through :func:`create_engine` (or :func:`create_matcher`, which also
+decides whether subscription factoring applies).  The project default is
 ``"compiled"``.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.errors import RoutingError, SubscriptionError
@@ -27,10 +34,10 @@ from repro.core.annotation import LinkOfSubscriber, TreeAnnotation
 from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.backends import (
-    BACKEND_NAMES,
     DEFAULT_BACKEND,
     KernelBackend,
     create_backend,
+    resolve_backend,
 )
 from repro.matching.base import MatcherEngine
 from repro.obs import get_registry
@@ -40,18 +47,120 @@ from repro.matching.compile import (
     compile_tree,
 )
 from repro.matching.events import Event
+from repro.matching.optimizations import FactoredMatcher
 from repro.matching.pst import MatchResult, ParallelSearchTree
 from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
 
-#: Valid engine names, in preference order.
+#: Valid engine kinds, in preference order.
 ENGINE_NAMES = ("compiled", "sharded", "tree")
 
 #: The engine used when callers do not choose one.
 DEFAULT_ENGINE = "compiled"
 
+#: Shard count of a ``sharded`` spec that does not name one.
+DEFAULT_SHARDS = 4
+
 #: Bucket boundaries of the ``engine.match_batch.size`` histogram.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+_SPEC_SYNTAX = re.compile(
+    r"(?P<kind>[a-z]+)(?:/(?P<shards>\d+))?(?::(?P<backend>[a-z]+))?(?P<agg>\+agg)?"
+)
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """One engine configuration: the engine kind, its shard count (sharded
+    only), the kernel backend and whether the covering forest aggregates
+    subscriptions first.
+
+    The string form is ``KIND[/SHARDS][:BACKEND][+agg]``; :meth:`parse`
+    reads it and ``str(spec)`` writes the canonical form back (the default
+    ``interp`` backend is left out, a sharded spec always names its shard
+    count).  Construction validates every combination and resolves
+    ``vector`` to ``interp`` when numpy is not importable, so a spec always
+    names the backend that actually runs.
+    """
+
+    kind: str = DEFAULT_ENGINE
+    shards: Optional[int] = None
+    backend: str = DEFAULT_BACKEND
+    aggregate: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in ENGINE_NAMES:
+            raise SubscriptionError(
+                f"unknown matcher engine {self.kind!r} — expected one of {ENGINE_NAMES}"
+            )
+        backend = resolve_backend(self.backend)  # rejects unknown names
+        if self.kind == "sharded":
+            if self.shards is None:
+                object.__setattr__(self, "shards", DEFAULT_SHARDS)
+            elif self.shards < 1:
+                raise SubscriptionError("a sharded engine needs at least 1 shard")
+        elif self.shards is not None:
+            raise SubscriptionError(
+                f"engine {self.kind!r} is not sharded — a shard count requires "
+                f"engine 'sharded'"
+            )
+        if self.kind == "tree":
+            if self.backend != DEFAULT_BACKEND:
+                raise SubscriptionError(
+                    f"engine 'tree' walks the object graph directly and has no "
+                    f"kernel backends — backend {self.backend!r} requires engine "
+                    f"'compiled' or 'sharded'"
+                )
+            if self.aggregate:
+                raise SubscriptionError(
+                    "engine 'tree' has no compiled program to compress — "
+                    "aggregate ('+agg') requires engine 'compiled' or 'sharded'"
+                )
+        object.__setattr__(self, "backend", backend)
+
+    @classmethod
+    def parse(cls, text: str) -> "EngineSpec":
+        """Read ``KIND[/SHARDS][:BACKEND][+agg]``; raises
+        :class:`~repro.errors.SubscriptionError` on anything else."""
+        match = _SPEC_SYNTAX.fullmatch(text.strip())
+        if match is None:
+            raise SubscriptionError(
+                f"malformed engine spec {text!r} — expected "
+                f"KIND[/SHARDS][:BACKEND][+agg], e.g. 'compiled:vector+agg'"
+            )
+        shards = match["shards"]
+        return cls(
+            kind=match["kind"],
+            shards=None if shards is None else int(shards),
+            backend=match["backend"] or DEFAULT_BACKEND,
+            aggregate=match["agg"] is not None,
+        )
+
+    @property
+    def factors(self) -> bool:
+        """Whether subscription factoring may split the subscription set
+        before this engine sees it.  Sharding is itself a partitioned index
+        (the hash policy partitions by first indexed attribute — factoring's
+        own idea), and aggregation needs the whole set to build its covering
+        forest, so both take precedence over factoring."""
+        return self.kind != "sharded" and not self.aggregate
+
+    def __str__(self) -> str:
+        text = self.kind
+        if self.kind == "sharded":
+            text += f"/{self.shards}"
+        if self.backend != DEFAULT_BACKEND:
+            text += f":{self.backend}"
+        if self.aggregate:
+            text += "+agg"
+        return text
+
+
+def engine_spec(engine: Union[str, EngineSpec]) -> EngineSpec:
+    """The :class:`EngineSpec` for a spec object or its string form."""
+    if isinstance(engine, EngineSpec):
+        return engine
+    return EngineSpec.parse(engine)
 
 
 class _EngineBase(MatcherEngine):
@@ -391,112 +500,86 @@ class CompiledEngine(_EngineBase):
 
 
 def create_engine(
-    engine: str,
+    engine: Union[str, EngineSpec],
     schema: EventSchema,
     *,
     attribute_order: Optional[Sequence[str]] = None,
     domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
     match_cache_capacity: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_policy: Optional[str] = None,
-    shard_workers: int = 0,
-    backend: Optional[str] = None,
-    aggregate: bool = False,
 ) -> MatcherEngine:
-    """Instantiate an engine by name (``"compiled"``, ``"sharded"``, ``"tree"``).
+    """Instantiate the engine an :class:`EngineSpec` (or its string) names.
 
-    ``match_cache_capacity`` tunes the compiled engine's projection caches
-    (``0`` disables them); the tree engine has no cache and ignores it.
-    ``shards`` / ``shard_policy`` / ``shard_workers`` configure the sharded
-    engine (defaults: :data:`~repro.matching.sharding.DEFAULT_SHARDS` shards,
-    :data:`~repro.matching.sharding.DEFAULT_SHARD_POLICY` policy, serial
-    execution); the other engines ignore them.
+    ``match_cache_capacity`` tunes the compiled and sharded engines'
+    projection caches (``0`` disables them, ``None`` means
+    :data:`~repro.matching.compile.DEFAULT_MATCH_CACHE_CAPACITY`); the tree
+    engine has no cache and ignores it.
 
-    ``backend`` selects how the compiled record arrays are executed (one of
-    :data:`~repro.matching.backends.BACKEND_NAMES`; ``None`` means
-    :data:`~repro.matching.backends.DEFAULT_BACKEND`).  ``"procpool"`` is a
-    sharded-engine execution mode — asking for it with ``engine="compiled"``
-    is an error, and the tree engine (which has no compiled arrays) accepts
-    only the default.
-
-    ``aggregate=True`` wraps the compiled or sharded engine in an
+    A spec with ``aggregate`` wraps the compiled or sharded engine in an
     :class:`~repro.matching.aggregation.AggregatingEngine`: subscriptions
     are canonicalized and deduplicated through an online covering forest so
     the compiled arrays grow with *distinct* predicates, not subscribers.
     Match sets and refined link masks are unchanged; step counts are
-    attributed to the deduplicated leaves.  The tree engine has no compiled
-    form to compress, so ``aggregate`` with ``engine="tree"`` is an error.
+    attributed to the deduplicated leaves.
     """
-    if backend is not None and backend not in BACKEND_NAMES:
-        raise SubscriptionError(
-            f"unknown kernel backend {backend!r} — expected one of {BACKEND_NAMES}"
-        )
-    if aggregate:
-        if engine == "tree":
-            raise SubscriptionError(
-                "engine 'tree' has no compiled program to compress — "
-                "aggregate=True requires engine='compiled' or 'sharded'"
-            )
-        # Imported here: aggregation wraps engines this module creates, so a
-        # module-scope import would cycle.
-        from repro.matching.aggregation import AggregatingEngine
-
-        inner = create_engine(
-            engine,
+    spec = engine_spec(engine)
+    if match_cache_capacity is None:
+        match_cache_capacity = DEFAULT_MATCH_CACHE_CAPACITY
+    if spec.kind == "tree":
+        return TreeEngine(schema, attribute_order=attribute_order, domains=domains)
+    if spec.kind == "compiled":
+        built: MatcherEngine = CompiledEngine(
             schema,
             attribute_order=attribute_order,
             domains=domains,
             match_cache_capacity=match_cache_capacity,
-            shards=shards,
-            shard_policy=shard_policy,
-            shard_workers=shard_workers,
-            backend=backend,
+            backend=spec.backend,
         )
-        return AggregatingEngine(inner)
-    if engine == "compiled":
-        # create_backend rejects "procpool" with a pointer at engine="sharded".
-        return CompiledEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            match_cache_capacity=(
-                DEFAULT_MATCH_CACHE_CAPACITY
-                if match_cache_capacity is None
-                else match_cache_capacity
-            ),
-            backend=backend,
-        )
-    if engine == "sharded":
+    else:
         # Imported here: sharding builds on CompiledEngine, so importing it
         # at module scope would be a cycle.
-        from repro.matching.sharding import (
-            DEFAULT_SHARD_POLICY,
-            DEFAULT_SHARDS,
-            ShardedEngine,
-        )
+        from repro.matching.sharding import ShardedEngine
 
-        return ShardedEngine(
+        assert spec.shards is not None
+        built = ShardedEngine(
             schema,
             attribute_order=attribute_order,
             domains=domains,
-            num_shards=DEFAULT_SHARDS if shards is None else shards,
-            policy=DEFAULT_SHARD_POLICY if shard_policy is None else shard_policy,
-            workers=shard_workers,
-            match_cache_capacity=(
-                DEFAULT_MATCH_CACHE_CAPACITY
-                if match_cache_capacity is None
-                else match_cache_capacity
-            ),
-            backend=DEFAULT_BACKEND if backend is None else backend,
+            num_shards=spec.shards,
+            match_cache_capacity=match_cache_capacity,
+            backend=spec.backend,
         )
-    if engine == "tree":
-        if backend is not None and backend != DEFAULT_BACKEND:
-            raise SubscriptionError(
-                f"engine 'tree' walks the object graph directly and has no "
-                f"kernel backends — backend {backend!r} requires engine="
-                f"'compiled' or 'sharded'"
-            )
-        return TreeEngine(schema, attribute_order=attribute_order, domains=domains)
-    raise SubscriptionError(
-        f"unknown matcher engine {engine!r} — expected one of {ENGINE_NAMES}"
-    )
+    if spec.aggregate:
+        # Imported here for the same reason: aggregation wraps engines this
+        # module creates.
+        from repro.matching.aggregation import AggregatingEngine
+
+        return AggregatingEngine(built)
+    return built
+
+
+def create_matcher(
+    engine: Union[str, EngineSpec],
+    schema: EventSchema,
+    *,
+    attribute_order: Optional[Sequence[str]] = None,
+    domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
+    factoring_attributes: Optional[Sequence[str]] = None,
+) -> Union[MatcherEngine, FactoredMatcher]:
+    """The matcher a broker runs: a :class:`FactoredMatcher` over
+    ``factoring_attributes`` when the spec :attr:`~EngineSpec.factors`,
+    otherwise the engine :func:`create_engine` builds.  The factored
+    matcher's sub-trees are searched with the spec's engine kind."""
+    spec = engine_spec(engine)
+    if factoring_attributes and spec.factors:
+        return FactoredMatcher(
+            schema,
+            factoring_attributes,
+            domains,
+            residual_order=(
+                [n for n in attribute_order if n not in factoring_attributes]
+                if attribute_order is not None
+                else None
+            ),
+            engine=spec,
+        )
+    return create_engine(spec, schema, attribute_order=attribute_order, domains=domains)

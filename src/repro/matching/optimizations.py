@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -42,6 +43,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import SubscriptionError
@@ -52,6 +54,9 @@ from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
 from repro.obs import get_registry
 from repro.matching.predicates import EqualityTest, Subscription
 from repro.matching.schema import AttributeValue, EventSchema
+
+if TYPE_CHECKING:
+    from repro.matching.engines import EngineSpec
 
 _dag_ids = itertools.count(1)
 
@@ -91,10 +96,12 @@ class FactoredMatcher(Matcher):
         Optional attribute order for the residual sub-PSTs (must be a
         permutation of the non-index attributes).
     engine:
-        ``"tree"`` searches the sub-PSTs directly; ``"compiled"`` lowers each
-        sub-PST with :mod:`repro.matching.compile` on first use and matches
-        through the array kernels (programs are invalidated by mutation and
-        by :meth:`compact`).  Either way match sets and step counts are
+        An :class:`~repro.matching.engines.EngineSpec` or its string form.
+        ``"tree"`` searches the sub-PSTs directly; ``"compiled"`` (with an
+        optional ``:BACKEND``) lowers each sub-PST with
+        :mod:`repro.matching.compile` on first use and matches through the
+        array kernels (programs are invalidated by mutation and by
+        :meth:`compact`).  Either way match sets and step counts are
         identical.
 
     Events whose index values fall outside the declared domains select
@@ -111,18 +118,22 @@ class FactoredMatcher(Matcher):
         domains: Mapping[str, Iterable[AttributeValue]],
         *,
         residual_order: Optional[Sequence[str]] = None,
-        engine: str = "tree",
-        backend: Optional[str] = None,
+        engine: Union[str, "EngineSpec"] = "tree",
     ) -> None:
+        # Imported here: repro.matching.engines builds on this module.
+        from repro.matching.engines import engine_spec
+
         if not index_attributes:
             raise SubscriptionError("factoring needs at least one index attribute")
-        if engine not in ("tree", "compiled"):
+        if domains is None:
+            raise SubscriptionError("factoring requires finite attribute domains")
+        spec = engine_spec(engine)
+        if spec.kind not in ("tree", "compiled") or spec.aggregate:
             raise SubscriptionError(
-                f"unknown matcher engine {engine!r} — expected 'tree' or 'compiled'"
+                f"cannot factor over engine {str(spec)!r} — expected 'tree' or "
+                f"'compiled[:BACKEND]'"
             )
-        self.engine = engine
-        # Kernel backend for the compiled sub-programs (tree mode has none).
-        self.backend = backend
+        self.engine = spec
         self.schema = schema
         self.index_attributes: Tuple[str, ...] = tuple(index_attributes)
         self.domains: Dict[str, FrozenSet[AttributeValue]] = {
@@ -151,7 +162,7 @@ class FactoredMatcher(Matcher):
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
         self._dirty = False
         obs = get_registry()
-        label = f"factored-{engine}"
+        label = f"factored-{spec.kind}"
         self._obs_matches = obs.counter("engine.matches", engine=label)
         self._obs_match_steps = obs.counter("engine.match_steps", engine=label)
         self._obs_index_misses = obs.counter("engine.factored.index_misses", engine=label)
@@ -303,10 +314,12 @@ class FactoredMatcher(Matcher):
             self._obs_index_misses.inc()
             self._obs_match_steps.inc()
             return MatchResult([], 1)
-        if self.engine == "compiled":
+        if self.engine.kind == "compiled":
             program = self._programs.get(key)
             if program is None:
-                program = self._programs[key] = compile_tree(tree, backend=self.backend)
+                program = self._programs[key] = compile_tree(
+                    tree, backend=self.engine.backend
+                )
                 self._obs_compiles.inc()
             result = program.match(event)
         else:

@@ -269,6 +269,12 @@ class IntervalTest(AttributeTest):
         )
 
 
+#: The canonical empty test (⊥): the one form every unsatisfiable
+#: per-attribute test canonicalizes to (see
+#: :func:`repro.matching.subsumption.canonical_test`).
+EMPTY_TEST = IntervalTest(low=1, high=0)
+
+
 def normalize_tests(tests: Sequence[AttributeTest]) -> AttributeTest:
     """Combine several tests on one attribute into a single equivalent test.
 
@@ -295,10 +301,10 @@ def normalize_tests(tests: Sequence[AttributeTest]) -> AttributeTest:
         value = equalities[0].value
         for test in equalities[1:]:
             if test.value != value:
-                return IntervalTest(low=1, high=0)  # canonical empty interval
+                return EMPTY_TEST
         if all(t.evaluate(value) for t in others):
             return EqualityTest(value)
-        return IntervalTest(low=1, high=0)
+        return EMPTY_TEST
 
     low: Optional[AttributeValue] = None
     high: Optional[AttributeValue] = None
@@ -440,8 +446,17 @@ class Predicate:
 
     @property
     def is_satisfiable(self) -> bool:
-        """False if any per-attribute test is an empty interval."""
-        return not any(isinstance(t, IntervalTest) and t.is_empty for t in self._tests)
+        """False if any per-attribute test accepts no value of its attribute's
+        domain — i.e. canonicalizes to :data:`EMPTY_TEST`.  Domain-aware: over
+        an INTEGER attribute ``x>0 & x<1`` is empty, because closing the
+        strict bounds gives ``1 <= x <= 0``."""
+        # Imported here: subsumption builds on this module.
+        from repro.matching.subsumption import canonical_test
+
+        return not any(
+            isinstance(test, IntervalTest) and canonical_test(attribute, test) is EMPTY_TEST
+            for attribute, test in zip(self.schema.attributes, self._tests)
+        )
 
     def describe(self) -> str:
         """The predicate as a subscription-language expression."""

@@ -39,30 +39,19 @@ What sharding buys:
   patch.  This is where the measured wins come from (see
   ``benchmarks/shard_scaling.py``): on churn-heavy streams the monolithic
   engine keeps cold caches while the sharded engine's stay hot.
-* **early exit** — serial link matching stops visiting shards once every
-  Maybe trit of the initialization mask has resolved to Yes (remaining
-  shards could only re-confirm; Parallel Combine is monotone in Yes).
-* **optional thread pool** — ``workers > 0`` fans shards out on a
-  ``concurrent.futures.ThreadPoolExecutor``.  The kernels are pure Python
-  and hold the GIL, so threads buy nothing on CPython today (the measured
-  crossover in ``benchmarks/results/shard_scaling.txt`` shows serial
-  sharding alone is what wins, via smaller per-shard frontiers and
-  per-shard caches); the knob exists so free-threaded builds can use the
-  same code path.  Processes are out of scope for the same reason the
-  threads are cheap to try: the kernels release no GIL, and pickling 25k
-  subscriptions per dispatch would dominate.
+* **early exit** — link matching stops visiting shards once every Maybe
+  trit of the initialization mask has resolved to Yes (remaining shards
+  could only re-confirm; Parallel Combine is monotone in Yes).
 
-Partition policies (``SHARD_POLICIES``):
+Shards run serially in the calling thread.  The kernels are pure Python
+and hold the GIL, and ``benchmarks/shard_scaling.py`` measured thread
+workers slower than serial sharding at every shard count, so the win is
+the smaller per-shard frontiers and per-shard caches, not parallelism.
 
-* ``round-robin`` — subscription arrival order modulo S; the baseline.
-* ``hash`` — hash of the subscription's *first indexed attribute* test
-  (the first non-don't-care test in tree attribute order).  Subscriptions
-  that branch the same way at the root co-locate, so the other shards'
-  trees never even grow that branch and their frontiers stay narrow.
-* ``balanced`` — the shard with the smallest estimated node count (the
-  estimate is maintained incrementally and snapped to exact counts by
-  every :meth:`ShardedEngine.rebalance` pass).
-
+Subscriptions are partitioned by a hash of their *first indexed
+attribute* test (the first non-don't-care test in tree attribute order).
+Subscriptions that branch the same way at the root co-locate, so the other
+shards' trees never even grow that branch and their frontiers stay narrow.
 A :meth:`ShardedEngine.rebalance` pass measures exact per-shard node
 counts, exports the skew gauge, and — when ``max/mean`` skew exceeds the
 threshold — migrates subscriptions from the heaviest shards to the
@@ -73,33 +62,22 @@ remove + insert, so per-shard patching absorbs it).
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import LinkOfSubscriber
 from repro.core.link_matcher import LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
-from repro.matching.backends import DEFAULT_BACKEND, validate_backend
+from repro.matching.backends import DEFAULT_BACKEND
 from repro.matching.base import MatcherEngine, union_merge
 from repro.matching.compile import DEFAULT_MATCH_CACHE_CAPACITY, ProjectionCache
-from repro.matching.engines import BATCH_SIZE_BUCKETS, CompiledEngine
+from repro.matching.engines import BATCH_SIZE_BUCKETS, DEFAULT_SHARDS, CompiledEngine
 from repro.matching.events import Event
 from repro.matching.pst import MatchResult
 from repro.matching.predicates import Subscription, value_tuple_test
 from repro.matching.schema import AttributeValue, EventSchema
 from repro.obs import get_registry
-
-if TYPE_CHECKING:  # imported lazily at runtime (only procpool mode needs it)
-    from repro.matching.backends.procpool import ProcPoolExecutor
-
-#: Valid partition policies, in documentation order.
-SHARD_POLICIES = ("round-robin", "hash", "balanced")
-
-#: Defaults used when a caller selects ``engine="sharded"`` without tuning.
-DEFAULT_SHARDS = 4
-DEFAULT_SHARD_POLICY = "hash"
 
 #: ``rebalance()`` migrates when ``max_nodes / mean_nodes`` exceeds this.
 DEFAULT_REBALANCE_THRESHOLD = 1.5
@@ -134,7 +112,7 @@ class _Shard(CompiledEngine):
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         match_cache_capacity: int = DEFAULT_MATCH_CACHE_CAPACITY,
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         super().__init__(
             schema,
@@ -167,23 +145,10 @@ class ShardedEngine(MatcherEngine):
     ``num_shards``
         How many shards to partition over (>= 1; 1 degenerates to a
         monolithic compiled engine plus merge overhead).
-    ``policy``
-        One of :data:`SHARD_POLICIES`; see the module docstring.
-    ``workers``
-        Fan-out width.  With the default (thread) execution, ``0`` runs
-        shards serially — which is what wins under the GIL — and ``> 0``
-        uses that many pool threads.  With ``backend="procpool"`` it is the
-        number of worker *processes* (``0`` means one per shard).
     ``backend``
-        How shard kernels execute (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`).  ``interp`` /
-        ``vector`` select the in-process kernel each shard compiles with.
-        ``procpool`` switches batched matching to shared-memory worker
-        processes (see :mod:`repro.matching.backends.procpool`): shard
-        programs are published once per ``(program_uid, generation)`` and
-        the batch paths ship only value tuples; single-event calls and
-        cache hits stay parent-side on the default kernel.  Results are
-        identical across all three, pinned by
+        The kernel backend every shard compiles with (one of
+        :data:`~repro.matching.backends.BACKEND_NAMES`).  Results are
+        identical across backends, pinned by
         ``tests/property/test_prop_backends.py``.
     ``rebalance_threshold`` / ``rebalance_interval``
         :meth:`rebalance` migrates when node-count skew (``max/mean``)
@@ -191,7 +156,7 @@ class ShardedEngine(MatcherEngine):
         automatically every that-many mutations; ``0`` leaves rebalancing
         to explicit calls.
     ``early_exit``
-        Stop visiting shards during serial link matching once every Maybe
+        Stop visiting shards during link matching once every Maybe
         trit of the initialization mask has resolved to Yes.  Exact either
         way; disabling it makes reported step counts independent of shard
         order (the property suite does).
@@ -206,40 +171,15 @@ class ShardedEngine(MatcherEngine):
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         num_shards: int = DEFAULT_SHARDS,
-        policy: str = DEFAULT_SHARD_POLICY,
-        workers: int = 0,
         match_cache_capacity: int = DEFAULT_MATCH_CACHE_CAPACITY,
         rebalance_threshold: float = DEFAULT_REBALANCE_THRESHOLD,
         rebalance_interval: int = 0,
         early_exit: bool = True,
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         if num_shards < 1:
             raise SubscriptionError("num_shards must be >= 1")
-        if policy not in SHARD_POLICIES:
-            raise SubscriptionError(
-                f"unknown shard policy {policy!r} — expected one of {SHARD_POLICIES}"
-            )
-        if workers < 0:
-            raise SubscriptionError("workers must be >= 0")
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        validate_backend(backend)
         self.schema = schema
-        self.policy = policy
-        self.workers = workers
-        self.backend_name = backend
-        self._procpool: Optional["ProcPoolExecutor"] = None
-        shard_backend = backend
-        if backend == "procpool":
-            # Batched matching runs in worker processes over published
-            # program images; the parent-side shard programs (singles,
-            # cache-served events, publication source) use the default
-            # in-process kernel.
-            from repro.matching.backends.procpool import ProcPoolExecutor
-
-            shard_backend = DEFAULT_BACKEND
-            self._procpool = ProcPoolExecutor(workers if workers > 0 else num_shards)
         self._shards: List[_Shard] = [
             _Shard(
                 index,
@@ -247,28 +187,19 @@ class ShardedEngine(MatcherEngine):
                 attribute_order=attribute_order,
                 domains=domains,
                 match_cache_capacity=match_cache_capacity,
-                backend=shard_backend,
+                backend=backend,
             )
             for index in range(num_shards)
         ]
+        self.backend_name = self._shards[0].backend_name
         #: subscription_id -> owning shard index; the single source of truth
-        #: for removes and migrations, whatever the insert policy said.
+        #: for removes and migrations, whatever the partition hash said.
         self._owner: Dict[int, int] = {}
-        # Hash policy: positions in tree attribute order, so "first indexed
-        # attribute" means the first level the subscription branches at.
+        # Partition hash: positions in tree attribute order, so "first
+        # indexed attribute" means the first level the subscription branches at.
         tree = self._shards[0].tree
         self._hash_positions: Tuple[int, ...] = tuple(
             schema.position_of(name) for name in tree.attribute_order
-        )
-        self._next_round_robin = 0
-        #: Per-shard node-count estimates for the balanced policy: exact
-        #: after every rebalance(), drifting by +-(tests per predicate)
-        #: between passes — plenty for picking the lightest shard.
-        self._node_estimates: List[int] = [1] * num_shards
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
-            if workers > 0 and self._procpool is None
-            else None
         )
         # Shard-local event caches: full-value-tuple -> that shard's result.
         # The key is sound for any shard (a shard's answer depends only on
@@ -359,10 +290,9 @@ class ShardedEngine(MatcherEngine):
             raise SubscriptionError(
                 f"subscription #{subscription_id} is already registered"
             )
-        index = self._choose_shard(subscription)
+        index = self._hash_shard(subscription)
         self._shards[index].insert(subscription)
         self._owner[subscription_id] = index
-        self._node_estimates[index] += self._growth_estimate(subscription)
         self._repair_shard(index, subscription)
         self._invalidate_link_projection()
         self._after_mutation()
@@ -372,9 +302,6 @@ class ShardedEngine(MatcherEngine):
         if index is None:
             raise SubscriptionError(f"unknown subscription id {subscription_id}")
         subscription = self._shards[index].remove(subscription_id)
-        self._node_estimates[index] = max(
-            1, self._node_estimates[index] - self._growth_estimate(subscription)
-        )
         self._repair_shard(index, subscription)
         self._invalidate_link_projection()
         self._after_mutation()
@@ -434,16 +361,6 @@ class ShardedEngine(MatcherEngine):
         engine's descent-cache repair runs the same one)."""
         return value_tuple_test(subscription.predicate)
 
-    def _choose_shard(self, subscription: Subscription) -> int:
-        if self.policy == "round-robin":
-            index = self._next_round_robin % len(self._shards)
-            self._next_round_robin += 1
-            return index
-        if self.policy == "balanced":
-            estimates = self._node_estimates
-            return min(range(len(estimates)), key=estimates.__getitem__)
-        return self._hash_shard(subscription)
-
     def _hash_shard(self, subscription: Subscription) -> int:
         tests = subscription.predicate.tests
         for position in self._hash_positions:
@@ -452,14 +369,6 @@ class ShardedEngine(MatcherEngine):
                 return _stable_shard_hash(f"{position}:{test!r}") % len(self._shards)
         # All-don't-care predicates sit on the star chain of any shard.
         return 0
-
-    def _growth_estimate(self, subscription: Subscription) -> int:
-        """Roughly how many nodes the subscription adds to its shard: one
-        per constrained level plus a leaf."""
-        tests = subscription.predicate.tests
-        return 1 + sum(
-            1 for position in self._hash_positions if not tests[position].is_dont_care
-        )
 
     def _after_mutation(self) -> None:
         self._mutations += 1
@@ -471,9 +380,8 @@ class ShardedEngine(MatcherEngine):
 
     def node_counts(self) -> List[int]:
         """Exact per-shard PST node counts (walks every shard's tree); also
-        refreshes the balanced policy's estimates and the per-shard gauges."""
+        refreshes the per-shard gauges."""
         counts = [shard.tree.node_count() for shard in self._shards]
-        self._node_estimates = list(counts)
         for shard, count in zip(self._shards, counts):
             shard._obs_shard_nodes.set(count)
         return counts
@@ -491,9 +399,9 @@ class ShardedEngine(MatcherEngine):
 
         A no-op while :meth:`skew` is at or under ``rebalance_threshold``
         (unless ``force``).  Migration levels *subscription* counts — the
-        measurable, O(1)-maintained proxy that node-count skew tracks under
-        every policy — by repeatedly moving one subscription from the
-        currently heaviest shard to the lightest.  Each move is a plain
+        measurable, O(1)-maintained proxy that node-count skew tracks — by
+        repeatedly moving one subscription from the currently heaviest shard
+        to the lightest.  Each move is a plain
         remove + insert, so the two touched shards patch (or recompile)
         exactly as organic churn would.
         """
@@ -525,40 +433,11 @@ class ShardedEngine(MatcherEngine):
         if moved:
             self._obs_rebalances.inc()
             self._obs_migrations.inc(moved)
-            self.skew()  # refresh counts, estimates, and the gauge
+            self.skew()  # refresh counts and the gauges
         return moved
 
     # ------------------------------------------------------------------
     # Matching (union merge)
-
-    def _fan_out(self, task: Callable[[_Shard], object]) -> List[object]:
-        """Run ``task`` once per shard (threaded when ``workers > 0``).
-
-        A shard task that raises fails the whole call with the *original*
-        exception — never a half-merged result — annotated with which shard
-        raised it (worker-thread tracebacks otherwise point only at the
-        pool plumbing).  Remaining tasks are cancelled where possible; any
-        already running finish in the pool but their results are dropped.
-        """
-        if self._executor is None:
-            return [task(shard) for shard in self._shards]
-        futures = [self._executor.submit(task, shard) for shard in self._shards]
-        results: List[object] = []
-        error: Optional[BaseException] = None
-        failed_index = -1
-        for shard, future in zip(self._shards, futures):
-            if error is not None:
-                future.cancel()
-                continue
-            try:
-                results.append(future.result())
-            except BaseException as exc:
-                error = exc
-                failed_index = shard.index
-        if error is not None:
-            error.add_note(f"raised in the worker task for shard {failed_index}")
-            raise error
-        return results
 
     def _shard_match(self, shard: _Shard, event: Event, key) -> MatchResult:
         """One shard's answer via its shard-local event cache."""
@@ -589,7 +468,7 @@ class ShardedEngine(MatcherEngine):
 
     def match(self, event: Event) -> MatchResult:
         key = event.as_tuple()
-        results = self._fan_out(lambda shard: self._shard_match(shard, event, key))
+        results = [self._shard_match(shard, event, key) for shard in self._shards]
         started = perf_counter() if self._time_merges else 0.0
         merged = union_merge(results)
         if self._time_merges:
@@ -603,12 +482,9 @@ class ShardedEngine(MatcherEngine):
             return []
         self._obs_batch_size.observe(len(events))
         keys = [event.as_tuple() for event in events]
-        if self._procpool is not None:
-            per_shard = self._procpool_match_batch(events, keys)
-        else:
-            per_shard = self._fan_out(
-                lambda shard: self._shard_match_batch(shard, events, keys)
-            )
+        per_shard = [
+            self._shard_match_batch(shard, events, keys) for shard in self._shards
+        ]
         started = perf_counter() if self._time_merges else 0.0
         merged = [
             union_merge(results[i] for results in per_shard)
@@ -620,65 +496,6 @@ class ShardedEngine(MatcherEngine):
         self._obs_matches.inc(len(events))
         self._obs_match_steps.inc(total_steps)
         return merged
-
-    def _procpool_match_batch(
-        self, events: Sequence[Event], keys: Sequence[tuple]
-    ) -> List[List[MatchResult]]:
-        """Per-shard per-event answers via the process pool.
-
-        Cache probing stays parent-side (shard-local event caches keep
-        their surgical-repair semantics); only the misses travel — as
-        deduplicated value tuples out, ``(subscription_ids, steps)`` back.
-        """
-        assert self._procpool is not None
-        n = len(events)
-        per_shard: List[List[Optional[MatchResult]]] = []
-        ops: List[tuple] = []
-        slots: List[Tuple[int, List[List[int]], Dict[int, Subscription]]] = []
-        for shard in self._shards:
-            if self._event_caches is not None:
-                cache = self._event_caches[shard.index]
-                results: List[Optional[MatchResult]] = [cache.get(key) for key in keys]
-            else:
-                results = [None] * n
-            per_shard.append(results)
-            missing = [i for i, result in enumerate(results) if result is None]
-            if not missing:
-                continue
-            publication = self._procpool.publish(shard.index, shard.program)
-            unique: Dict[tuple, int] = {}
-            payload: List[tuple] = []
-            members: List[List[int]] = []
-            for i in missing:
-                slot = unique.get(keys[i])
-                if slot is None:
-                    unique[keys[i]] = len(payload)
-                    payload.append(keys[i])
-                    members.append([i])
-                else:
-                    members[slot].append(i)
-            ops.append(
-                (shard.index, publication.name, publication.size, "match_batch", payload)
-            )
-            slots.append((shard.index, members, publication.sub_by_id))
-        if ops:
-            answers = self._procpool.run(ops)
-            for (shard_index, members, sub_by_id), entries in zip(slots, answers):
-                results = per_shard[shard_index]
-                cache = (
-                    self._event_caches[shard_index]
-                    if self._event_caches is not None
-                    else None
-                )
-                for group, (sub_ids, steps) in zip(members, entries):
-                    result = MatchResult(
-                        [sub_by_id[sub_id] for sub_id in sub_ids], steps
-                    )
-                    for i in group:
-                        results[i] = result
-                        if cache is not None:
-                            cache.put(keys[i], result)
-        return per_shard  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Link matching (Parallel-Combine merge)
@@ -749,26 +566,16 @@ class ShardedEngine(MatcherEngine):
         key = event.as_tuple()
         merged_yes = yes_bits
         steps = 0
-        if self._executor is not None:
-            packed = self._fan_out(
-                lambda shard: self._shard_match_links(
-                    shard, event, key, yes_bits, maybe_bits
-                )
+        for shard in self._shards:
+            if self.early_exit and merged_yes & maybe_bits == maybe_bits:
+                # Every Maybe has resolved to Yes; Parallel Combine is
+                # monotone in Yes, so later shards cannot change the mask.
+                break
+            final_yes, shard_steps = self._shard_match_links(
+                shard, event, key, yes_bits, maybe_bits
             )
-            for final_yes, shard_steps in packed:
-                merged_yes |= final_yes
-                steps += shard_steps
-        else:
-            for shard in self._shards:
-                if self.early_exit and merged_yes & maybe_bits == maybe_bits:
-                    # Every Maybe has resolved to Yes; Parallel Combine is
-                    # monotone in Yes, so later shards cannot change the mask.
-                    break
-                final_yes, shard_steps = self._shard_match_links(
-                    shard, event, key, yes_bits, maybe_bits
-                )
-                merged_yes |= final_yes
-                steps += shard_steps
+            merged_yes |= final_yes
+            steps += shard_steps
         self._obs_link_matches.inc()
         self._obs_link_match_steps.inc(steps)
         return LinkMatchResult(unpack_tritvector(merged_yes, 0, num_links), steps)
@@ -805,34 +612,19 @@ class ShardedEngine(MatcherEngine):
                     cache.put((keys[indexes[j]], yes_bits, maybe_bits), entry)
             return packed  # type: ignore[return-value]
 
-        if self._procpool is not None or self._executor is not None:
-            # Parallel semantics: every shard refines every event (no early
-            # exit), exactly like match_links() with a thread pool.
-            if self._procpool is not None:
-                per_shard = self._procpool_links_batch(keys, yes_bits, maybe_bits)
-            else:
-                everything = list(range(len(events)))
-                per_shard = self._fan_out(
-                    lambda shard: shard_batch(shard, everything)
-                )
-            for packed in per_shard:
-                for i, (final_yes, shard_steps) in enumerate(packed):
-                    merged[i] |= final_yes
-                    steps[i] += shard_steps
-        else:
-            # Serial path mirrors match_links() per event: an event drops out
-            # of the pending set as soon as its Maybes all resolve to Yes, so
-            # later shards never see it (same masks, same step totals).
-            pending = list(range(len(events)))
-            for shard in self._shards:
-                if self.early_exit:
-                    pending = [i for i in pending if merged[i] & maybe_bits != maybe_bits]
-                if not pending:
-                    break
-                packed = shard_batch(shard, pending)
-                for i, (final_yes, shard_steps) in zip(pending, packed):
-                    merged[i] |= final_yes
-                    steps[i] += shard_steps
+        # Mirrors match_links() per event: an event drops out of the pending
+        # set as soon as its Maybes all resolve to Yes, so later shards never
+        # see it (same masks, same step totals).
+        pending = list(range(len(events)))
+        for shard in self._shards:
+            if self.early_exit:
+                pending = [i for i in pending if merged[i] & maybe_bits != maybe_bits]
+            if not pending:
+                break
+            packed = shard_batch(shard, pending)
+            for i, (final_yes, shard_steps) in zip(pending, packed):
+                merged[i] |= final_yes
+                steps[i] += shard_steps
         self._obs_link_matches.inc(len(events))
         self._obs_link_match_steps.inc(sum(steps))
         return [
@@ -840,97 +632,9 @@ class ShardedEngine(MatcherEngine):
             for final_yes, event_steps in zip(merged, steps)
         ]
 
-    def _procpool_links_batch(
-        self, keys: Sequence[tuple], yes_bits: int, maybe_bits: int
-    ) -> List[List["Tuple[int, int]"]]:
-        """Per-shard packed link answers via the process pool.
-
-        Mirrors :meth:`_procpool_match_batch`: parent-side cache probes,
-        deduplicated value tuples out, ``(final_yes, steps)`` back.  The
-        shard program is annotated (parent-side) before publication, so the
-        published image carries current ``ann_yes``/``ann_maybe`` arrays —
-        re-annotation bumps the generation and republishes.
-        """
-        assert self._procpool is not None and self._num_links is not None
-        n = len(keys)
-        per_shard: List[List[Optional[Tuple[int, int]]]] = []
-        ops: List[tuple] = []
-        slots: List[Tuple[int, List[List[int]]]] = []
-        for shard in self._shards:
-            if self._link_caches is not None:
-                cache = self._link_caches[shard.index]
-                packed: List[Optional[Tuple[int, int]]] = [
-                    cache.get((key, yes_bits, maybe_bits)) for key in keys
-                ]
-            else:
-                packed = [None] * n
-            per_shard.append(packed)
-            missing = [i for i, entry in enumerate(packed) if entry is None]
-            if not missing:
-                continue
-            program = shard._annotated_program(self._num_links)
-            publication = self._procpool.publish(shard.index, program)
-            unique: Dict[tuple, int] = {}
-            payload: List[tuple] = []
-            members: List[List[int]] = []
-            for i in missing:
-                slot = unique.get(keys[i])
-                if slot is None:
-                    unique[keys[i]] = len(payload)
-                    payload.append(keys[i])
-                    members.append([i])
-                else:
-                    members[slot].append(i)
-            ops.append(
-                (
-                    shard.index,
-                    publication.name,
-                    publication.size,
-                    "links_batch",
-                    (payload, yes_bits, maybe_bits),
-                )
-            )
-            slots.append((shard.index, members))
-        if ops:
-            answers = self._procpool.run(ops)
-            for (shard_index, members), entries in zip(slots, answers):
-                packed = per_shard[shard_index]
-                cache = (
-                    self._link_caches[shard_index]
-                    if self._link_caches is not None
-                    else None
-                )
-                for group, entry in zip(members, entries):
-                    for i in group:
-                        packed[i] = entry
-                        if cache is not None:
-                            cache.put((keys[i], yes_bits, maybe_bits), entry)
-        return per_shard  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-
-    def close(self) -> None:
-        """Shut down worker pools and shared memory (no-op when serial)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._procpool is not None:
-            # Like the thread pool: a closed engine keeps answering, it just
-            # falls back to serial parent-side execution.
-            self._procpool.close()
-            self._procpool = None
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         sizes = ",".join(str(len(shard.tree)) for shard in self._shards)
         return (
             f"ShardedEngine({len(self._shards)} shards [{sizes}], "
-            f"policy={self.policy!r}, workers={self.workers}, "
             f"backend={self.backend_name!r})"
         )

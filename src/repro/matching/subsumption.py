@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PredicateError
 from repro.matching.predicates import (
+    EMPTY_TEST,
     AttributeTest,
     EqualityTest,
     IntervalTest,
@@ -96,7 +97,10 @@ def canonical_test(attribute: Attribute, test: AttributeTest) -> AttributeTest:
 
     Strict integer bounds close (``x < 4`` ≡ ``x <= 3``) and one-sided range
     tests normalize to intervals, so tests that accept the same values
-    compare and hash equal.  Equality tests and don't-cares are already
+    compare and hash equal.  Every test that accepts no value of the
+    attribute's domain — after closing, any interval with ``low > high`` —
+    becomes the single ⊥, :data:`~repro.matching.predicates.EMPTY_TEST`;
+    :attr:`Predicate.is_satisfiable` is defined by it.  Equality tests and don't-cares are already
     canonical and pass through unchanged (identity-preserving, so callers
     can detect "nothing changed" with ``is``).  This is the per-attribute
     step of :func:`repro.matching.aggregation.canonicalize_predicate`, and
@@ -109,7 +113,9 @@ def canonical_test(attribute: Attribute, test: AttributeTest) -> AttributeTest:
     if isinstance(canonical, RangeTest):
         interval = _as_interval(canonical)
         if interval is not None:
-            return interval
+            canonical = interval
+    if isinstance(canonical, IntervalTest) and canonical.is_empty:
+        return EMPTY_TEST
     return canonical
 
 

@@ -113,7 +113,7 @@ def _workload_dict(workload: Any) -> Dict[str, Any]:
 def bench_payload(
     name: str,
     *,
-    engine: Optional[str] = None,
+    engine: Any = None,
     workload: Any = None,
     wall_clock_s: Optional[float] = None,
     metrics: Optional[Union[MetricsRegistry, Dict[str, Any]]] = None,
@@ -123,8 +123,10 @@ def bench_payload(
 ) -> Dict[str, Any]:
     """Assemble a valid v1 artifact payload.
 
-    ``workload`` may be a config dataclass (e.g. ``Chart3Config``), a plain
-    dict, or anything ``repr``-able; ``metrics`` a registry or an existing
+    ``engine`` is recorded as its string form (an engine spec object
+    becomes its canonical spec string).  ``workload`` may be a config
+    dataclass (e.g. ``Chart3Config``), a plain dict, or anything
+    ``repr``-able; ``metrics`` a registry or an existing
     snapshot/diff; ``table`` an :class:`~repro.experiments.tables.ExperimentTable`
     (anything with ``title``/``columns``/``rows``).
     """
@@ -135,7 +137,7 @@ def bench_payload(
         "created_unix": time.time(),
         "machine": machine_fingerprint(),
         "git_sha": git_sha(repo_root),
-        "engine": engine,
+        "engine": None if engine is None else str(engine),
         "workload": _workload_dict(workload),
         "wall_clock_s": wall_clock_s,
         "metrics": (

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.matching.digest import MatchDigest
+from repro.matching.engines import EngineSpec, engine_spec
 from repro.matching.events import Event
 from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -212,7 +213,7 @@ class ProtocolContext:
     """Everything a protocol needs to build its per-broker state: the
     topology, the event schema, the global subscription set, spanning trees,
     routing tables, and the matcher configuration knobs (including which
-    matching engine — ``"tree"`` or ``"compiled"`` — brokers use)."""
+    matching engine spec brokers use)."""
 
     def __init__(
         self,
@@ -223,12 +224,7 @@ class ProtocolContext:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
+        engine: Union[str, EngineSpec] = "compiled",
     ) -> None:
         topology.validate()
         self.topology = topology
@@ -237,12 +233,7 @@ class ProtocolContext:
         self.attribute_order = attribute_order
         self.domains = domains
         self.factoring_attributes = factoring_attributes
-        self.engine = engine
-        self.shards = shards
-        self.shard_policy = shard_policy
-        self.shard_workers = shard_workers
-        self.backend = backend
-        self.aggregate = aggregate
+        self.engine = engine_spec(engine)
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 

@@ -65,11 +65,6 @@ class FloodingProtocol(RoutingProtocol):
             context.schema,
             attribute_order=context.attribute_order,
             domains=context.domains,
-            shards=context.shards,
-            shard_policy=context.shard_policy,
-            shard_workers=context.shard_workers,
-            backend=context.backend,
-            aggregate=context.aggregate,
         )
 
     def on_topology_repaired(self, repair) -> List[str]:

@@ -101,11 +101,6 @@ class LinkMatchingProtocol(RoutingProtocol):
             domains=context.domains,
             factoring_attributes=context.factoring_attributes,
             engine=context.engine,
-            shards=context.shards,
-            shard_policy=context.shard_policy,
-            shard_workers=context.shard_workers,
-            backend=context.backend,
-            aggregate=context.aggregate,
         )
         for subscription in self._subscriptions:
             try:

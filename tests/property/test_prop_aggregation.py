@@ -55,7 +55,7 @@ events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
-inner_kinds = st.sampled_from(["compiled", "sharded"])
+inner_kinds = st.sampled_from(["compiled", "sharded/2"])
 capacities = st.sampled_from([0, 64])
 
 
@@ -89,15 +89,12 @@ def clone(subscription):
     )
 
 
-def build_pair(subscriptions, *, inner, capacity=0, backend=None, shards=2):
-    """(unaggregated reference, aggregated) over the same subscription set."""
-    kwargs = dict(
-        domains=DOMAINS, match_cache_capacity=capacity, backend=backend
-    )
-    if inner == "sharded":
-        kwargs["shards"] = shards
+def build_pair(subscriptions, *, inner, capacity=0):
+    """(unaggregated reference, aggregated) over the same subscription set;
+    ``inner`` is the reference's engine spec, aggregation adds ``+agg``."""
+    kwargs = dict(domains=DOMAINS, match_cache_capacity=capacity)
     plain = create_engine(inner, SCHEMA, **kwargs)
-    aggregated = create_engine(inner, SCHEMA, aggregate=True, **kwargs)
+    aggregated = create_engine(f"{inner}+agg", SCHEMA, **kwargs)
     for subscription in subscriptions:
         plain.insert(subscription)
         aggregated.insert(clone(subscription))
@@ -158,7 +155,7 @@ class TestAggregationEquivalence:
         """The inner refinement runs over deduplicated leaves on every
         kernel backend; the vector kernels must agree with the reference."""
         plain, aggregated = build_pair(
-            make_subscriptions(specs), inner="compiled", backend="vector"
+            make_subscriptions(specs), inner="compiled:vector"
         )
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
@@ -249,11 +246,8 @@ class TestChurnEquivalence:
         last member and must promote covered children back to compiled
         roots mid-stream; every answer is checked immediately after."""
         rng = random.Random(seed)
-        kwargs = dict(domains=DOMAINS)
-        if inner == "sharded":
-            kwargs["shards"] = 3
-        plain = create_engine(inner, SCHEMA, **kwargs)
-        aggregated = create_engine(inner, SCHEMA, aggregate=True, **kwargs)
+        plain = create_engine(inner, SCHEMA, domains=DOMAINS)
+        aggregated = create_engine(f"{inner}+agg", SCHEMA, domains=DOMAINS)
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         live = {}
@@ -311,15 +305,13 @@ class TestChurnEquivalence:
         self._run_churn("compiled")
 
     def test_churn_sharded_inner(self):
-        self._run_churn("sharded")
+        self._run_churn("sharded/3")
 
     def test_direct_wrapper_matches_create_engine(self):
         """Constructing the wrapper directly is the same engine the factory
         builds (the benchmark does this to reach ``cover_scan_limit``)."""
         subscriptions = make_subscriptions([(0, None, None, None), (0, 1, None, None)])
-        via_factory = create_engine(
-            "compiled", SCHEMA, domains=DOMAINS, aggregate=True
-        )
+        via_factory = create_engine("compiled+agg", SCHEMA, domains=DOMAINS)
         direct = AggregatingEngine(
             create_engine("compiled", SCHEMA, domains=DOMAINS)
         )

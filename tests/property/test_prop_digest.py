@@ -25,17 +25,15 @@ DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 #: The engine matrix the bit-identity property runs over: both engines, the
 #: vector execution backend, sharding, and subscription aggregation.
 CONFIGS = [
-    {"engine": "tree"},
-    {"engine": "compiled"},
-    {"engine": "compiled", "backend": "vector"},
-    {"engine": "sharded", "shards": 2},
-    {"engine": "compiled", "aggregate": True},
-    {"engine": "sharded", "shards": 2, "aggregate": True},
+    "tree",
+    "compiled",
+    "compiled:vector",
+    "sharded/2",
+    "compiled+agg",
+    "sharded/2+agg",
 ]
 
-CONFIG_IDS = [
-    "-".join(f"{k}={v}" for k, v in config.items()) for config in CONFIGS
-]
+CONFIG_IDS = [f"engine={config}" for config in CONFIGS]
 
 
 @st.composite
@@ -86,7 +84,7 @@ def make_subscriptions(specs_by_client):
 
 def build_protocol(topology, subscriptions, config, *, use_digests):
     context = ProtocolContext(
-        topology, SCHEMA, subscriptions, domains=DOMAINS, **config
+        topology, SCHEMA, subscriptions, domains=DOMAINS, engine=config
     )
     return LinkMatchingProtocol(context, use_digests=use_digests)
 

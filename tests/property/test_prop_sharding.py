@@ -2,8 +2,8 @@
 
 :class:`~repro.matching.sharding.ShardedEngine` must be indistinguishable
 from the monolithic :class:`~repro.matching.engines.CompiledEngine` for
-every subscription set, partition policy, shard count, event, and
-initialization mask:
+every subscription set, partition (the hash partition, or the one a forced
+rebalance migrates it to), shard count, event, and initialization mask:
 
 * the same match set (compared as sets — shards interleave),
 * the same refined link mask, and
@@ -29,7 +29,7 @@ from repro.core import M, N, TritVector, Y
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.engines import CompiledEngine, create_engine
 from repro.matching.predicates import EqualityTest, RangeTest
-from repro.matching.sharding import SHARD_POLICIES, ShardedEngine
+from repro.matching.sharding import ShardedEngine
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -50,7 +50,7 @@ events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
-policies = st.sampled_from(SHARD_POLICIES)
+rebalanced = st.booleans()
 shard_counts = st.integers(min_value=1, max_value=4)
 
 
@@ -83,20 +83,25 @@ def clone(subscription):
     )
 
 
-def build_pair(subscriptions, *, num_shards, policy, capacity=0, early_exit=False):
-    """(monolithic reference, sharded) over the same subscription set."""
+def build_pair(
+    subscriptions, *, num_shards, rebalance=False, capacity=0, early_exit=False
+):
+    """(monolithic reference, sharded) over the same subscription set; with
+    ``rebalance`` the sharded engine's hash partition is then migrated to a
+    count-levelled one by a forced rebalance pass."""
     mono = CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=capacity)
     sharded = ShardedEngine(
         SCHEMA,
         domains=DOMAINS,
         num_shards=num_shards,
-        policy=policy,
         match_cache_capacity=capacity,
         early_exit=early_exit,
     )
     for subscription in subscriptions:
         mono.insert(subscription)
         sharded.insert(clone(subscription))
+    if rebalance:
+        sharded.rebalance(force=True)
     return mono, sharded
 
 
@@ -124,12 +129,12 @@ class TestPartitionEquivalence:
         specs=subscription_lists,
         event_values=events,
         num_shards=shard_counts,
-        policy=policies,
+        rebalance=rebalanced,
     )
     @settings(max_examples=150)
-    def test_match_set_and_step_sum(self, specs, event_values, num_shards, policy):
+    def test_match_set_and_step_sum(self, specs, event_values, num_shards, rebalance):
         mono, sharded = build_pair(
-            make_subscriptions(specs), num_shards=num_shards, policy=policy
+            make_subscriptions(specs), num_shards=num_shards, rebalance=rebalance
         )
         event = Event.from_tuple(SCHEMA, event_values)
         assert_same_matches(mono, sharded, event)
@@ -143,14 +148,14 @@ class TestPartitionEquivalence:
         event_values=events,
         mask=masks,
         num_shards=shard_counts,
-        policy=policies,
+        rebalance=rebalanced,
     )
     @settings(max_examples=150)
     def test_link_mask_and_step_sum(
-        self, specs, event_values, mask, num_shards, policy
+        self, specs, event_values, mask, num_shards, rebalance
     ):
         mono, sharded = build_pair(
-            make_subscriptions(specs), num_shards=num_shards, policy=policy
+            make_subscriptions(specs), num_shards=num_shards, rebalance=rebalance
         )
         mono.bind_links(NUM_LINKS, link_of)
         sharded.bind_links(NUM_LINKS, link_of)
@@ -168,17 +173,17 @@ class TestPartitionEquivalence:
         event_values=events,
         mask=masks,
         num_shards=shard_counts,
-        policy=policies,
+        rebalance=rebalanced,
     )
     @settings(max_examples=100)
     def test_early_exit_and_caches_never_change_results(
-        self, specs, event_values, mask, num_shards, policy
+        self, specs, event_values, mask, num_shards, rebalance
     ):
         """Early exit and the shard-local caches may only change steps."""
         mono, sharded = build_pair(
             make_subscriptions(specs),
             num_shards=num_shards,
-            policy=policy,
+            rebalance=rebalance,
             capacity=64,
             early_exit=True,
         )
@@ -196,7 +201,7 @@ class TestPartitionEquivalence:
     @settings(max_examples=60)
     def test_batch_matches_single(self, specs, event_values, num_shards):
         _, sharded = build_pair(
-            make_subscriptions(specs), num_shards=num_shards, policy="hash"
+            make_subscriptions(specs), num_shards=num_shards
         )
         event = Event.from_tuple(SCHEMA, event_values)
         batch = sharded.match_batch([event, event])
@@ -214,9 +219,7 @@ class TestChurnEquivalence:
         and after forced rebalance passes."""
         rng = random.Random(20260807)
         mono = CompiledEngine(SCHEMA, domains=DOMAINS)
-        sharded = create_engine(
-            "sharded", SCHEMA, domains=DOMAINS, shards=3, shard_policy="hash"
-        )
+        sharded = create_engine("sharded/3", SCHEMA, domains=DOMAINS)
         mono.bind_links(NUM_LINKS, link_of)
         sharded.bind_links(NUM_LINKS, link_of)
         live = {}

@@ -4,14 +4,16 @@
 matches, over randomly built conjunctions of equalities, ranges and
 intervals.  The converse (completeness) holds for everything except
 exclusion-list corner cases, so it is asserted only for the
-exclusion-free sublanguage.
+exclusion-free sublanguage.  Subsumption is a preorder (reflexive and
+transitive, also over canonical forms), and predicates that accept the same
+events subsume each other.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.matching import (
     DONT_CARE,
@@ -24,6 +26,7 @@ from repro.matching import (
     predicate_subsumes,
     uniform_schema,
 )
+from repro.matching.aggregation import canonicalize_predicate
 
 SCHEMA = uniform_schema(2)
 #: Value space deliberately wider than the bounds we generate, so open
@@ -96,12 +99,47 @@ class TestSoundness:
         p = build_predicate(tests)
         assert predicate_subsumes(p, p)
 
+    @given(tests=st.tuples(simple_tests, simple_tests))
+    @settings(max_examples=200)
+    def test_reflexive_over_canonical_forms(self, tests):
+        """A predicate and its canonical form are each reflexive and subsume
+        each other (canonicalization never changes acceptance)."""
+        p = build_predicate(tests)
+        canonical = canonicalize_predicate(p)
+        assert predicate_subsumes(canonical, canonical)
+        assert predicate_subsumes(p, canonical)
+        assert predicate_subsumes(canonical, p)
+
+    @given(
+        p_tests=st.tuples(simple_tests, simple_tests),
+        q_tests=st.tuples(simple_tests, simple_tests),
+    )
+    @settings(max_examples=400)
+    @example(
+        # Both empty over the integers, only the first syntactically so.
+        p_tests=(DONT_CARE, IntervalTest(0, 0, low_closed=False, high_closed=False)),
+        q_tests=(DONT_CARE, IntervalTest(0, 1, low_closed=False, high_closed=False)),
+    )
+    def test_equal_acceptance_implies_mutual_subsumption(self, p_tests, q_tests):
+        p = build_predicate(p_tests)
+        q = build_predicate(q_tests)
+        if all(p.matches(event) == q.matches(event) for event in SPACE):
+            assert predicate_subsumes(p, q), (p.describe(), q.describe())
+            assert predicate_subsumes(q, p), (q.describe(), p.describe())
+
     @given(
         p_tests=st.tuples(simple_tests, simple_tests),
         q_tests=st.tuples(simple_tests, simple_tests),
         r_tests=st.tuples(simple_tests, simple_tests),
     )
     @settings(max_examples=200)
+    @example(
+        # p = a1=0, q = a2>0 & a2<0, r = a2>0 & a2<1: q and r are both empty
+        # over the integers, so p covers r as it covers q.
+        p_tests=(EqualityTest(0), DONT_CARE),
+        q_tests=(DONT_CARE, IntervalTest(0, 0, low_closed=False, high_closed=False)),
+        r_tests=(DONT_CARE, IntervalTest(0, 1, low_closed=False, high_closed=False)),
+    )
     def test_transitive(self, p_tests, q_tests, r_tests):
         p, q, r = (build_predicate(t) for t in (p_tests, q_tests, r_tests))
         if predicate_subsumes(p, q) and predicate_subsumes(q, r):

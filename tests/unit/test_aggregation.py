@@ -380,15 +380,13 @@ class TestErrorsAndFactory:
 
     def test_tree_engine_cannot_aggregate(self):
         with pytest.raises(SubscriptionError, match="aggregate"):
-            create_engine("tree", SCHEMA, aggregate=True)
+            create_engine("tree+agg", SCHEMA)
         with pytest.raises(SubscriptionError, match="refresh"):
             AggregatingEngine(TreeEngine(SCHEMA))
 
     def test_factory_wraps_compiled_and_sharded(self):
-        for inner, kwargs in (("compiled", {}), ("sharded", {"shards": 2})):
-            engine = create_engine(
-                inner, SCHEMA, domains=DOMAINS, aggregate=True, **kwargs
-            )
+        for spec in ("compiled+agg", "sharded/2+agg"):
+            engine = create_engine(spec, SCHEMA, domains=DOMAINS)
             assert isinstance(engine, AggregatingEngine)
             engine.insert(sub("s0", a1=EqualityTest(1)))
             assert engine.subscription_count == 1

@@ -49,8 +49,7 @@ def build_router(topology, table, trees, engine):
         trees,
         SCHEMA,
         domains=DOMAINS,
-        engine=engine,
-        shards=2 if engine == "sharded" else None,
+        engine="sharded/2" if engine == "sharded" else engine,
     )
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=0"), "S2"))
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=1"), "S3"))

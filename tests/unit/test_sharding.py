@@ -2,9 +2,8 @@
 
 The equivalence contract (sharded ≡ monolithic for any partition) lives in
 ``tests/property/test_prop_sharding.py``; this file pins the mechanics —
-registration, partition policies, ownership bookkeeping, rebalancing,
-worker-pool lifecycle, early exit, and the surgical churn repair of the
-shard-local event caches.
+registration, the partition hash, ownership bookkeeping, rebalancing,
+early exit, and the surgical churn repair of the shard-local event caches.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import pytest
 from repro.core import M, TritVector, Y
 from repro.errors import SubscriptionError
 from repro.matching import Event, Predicate, Subscription, uniform_schema
-from repro.matching.engines import ENGINE_NAMES, create_engine
+from repro.matching.engines import DEFAULT_SHARDS, ENGINE_NAMES, create_engine
 from repro.matching.predicates import EqualityTest
-from repro.matching.sharding import SHARD_POLICIES, ShardedEngine
+from repro.matching.sharding import ShardedEngine
 from repro.obs import MetricsRegistry, get_registry, set_registry
 
 SCHEMA = uniform_schema(3)
@@ -51,7 +50,6 @@ def link_of(entry):
 
 def build_engine(*subscriptions, **kwargs):
     kwargs.setdefault("num_shards", 2)
-    kwargs.setdefault("policy", "round-robin")
     engine = ShardedEngine(SCHEMA, domains=DOMAINS, **kwargs)
     for entry in subscriptions:
         engine.insert(entry)
@@ -65,28 +63,23 @@ def subscribers_of(result):
 class TestRegistration:
     def test_listed_and_creatable_by_name(self):
         assert "sharded" in ENGINE_NAMES
-        engine = create_engine(
-            "sharded", SCHEMA, domains=DOMAINS, shards=2, shard_policy="round-robin"
-        )
+        engine = create_engine("sharded/2", SCHEMA, domains=DOMAINS)
         assert isinstance(engine, ShardedEngine)
         assert engine.num_shards == 2
-        assert engine.policy == "round-robin"
 
     def test_create_engine_defaults(self):
-        from repro.matching.sharding import DEFAULT_SHARD_POLICY, DEFAULT_SHARDS
-
         engine = create_engine("sharded", SCHEMA, domains=DOMAINS)
         assert engine.num_shards == DEFAULT_SHARDS
-        assert engine.policy == DEFAULT_SHARD_POLICY
-        assert engine.workers == 0
 
     def test_constructor_validation(self):
         with pytest.raises(SubscriptionError):
             ShardedEngine(SCHEMA, num_shards=0)
         with pytest.raises(SubscriptionError):
-            ShardedEngine(SCHEMA, policy="alphabetical")
-        with pytest.raises(SubscriptionError):
-            ShardedEngine(SCHEMA, workers=-1)
+            create_engine("sharded/0", SCHEMA)
+
+    def test_repr_names_shards_and_backend(self):
+        engine = build_engine(subscription("s0", a1=1))
+        assert repr(engine) == "ShardedEngine(2 shards [1,0], backend='interp')"
 
 
 class TestOwnership:
@@ -126,18 +119,9 @@ class TestOwnership:
 
 
 class TestPolicies:
-    def test_policy_names_are_exactly_the_documented_ones(self):
-        assert SHARD_POLICIES == ("round-robin", "hash", "balanced")
-
-    def test_round_robin_cycles(self):
-        entries = [subscription(f"s{i}", a1=1) for i in range(4)]
-        engine = build_engine(*entries, num_shards=2, policy="round-robin")
-        owners = [engine.shard_of(entry.subscription_id) for entry in entries]
-        assert owners == [0, 1, 0, 1]
-
     def test_hash_colocates_equal_first_tests_deterministically(self):
-        first = build_engine(num_shards=3, policy="hash")
-        second = build_engine(num_shards=3, policy="hash")
+        first = build_engine(num_shards=3)
+        second = build_engine(num_shards=3)
         same_branch = [subscription(f"s{i}", a1=1) for i in range(3)]
         other_branch = subscription("s9", a1=2)
         for engine in (first, second):
@@ -151,23 +135,17 @@ class TestPolicies:
         assert len(owners) == 1  # co-located, and identically in both engines
 
     def test_hash_all_dont_care_goes_to_shard_zero(self):
-        engine = build_engine(num_shards=3, policy="hash")
+        engine = build_engine(num_shards=3)
         star = subscription("s0")
         engine.insert(star)
         assert engine.shard_of(star.subscription_id) == 0
 
-    def test_balanced_spreads_identical_subscriptions(self):
-        entries = [subscription(f"s{i}", a1=1, a2=2) for i in range(4)]
-        engine = build_engine(*entries, num_shards=2, policy="balanced")
-        owners = [engine.shard_of(entry.subscription_id) for entry in entries]
-        assert sorted(owners) == [0, 0, 1, 1]
-
 
 class TestRebalance:
     def make_skewed(self):
-        # Hash policy piles equal first tests onto one shard by design.
+        # The partition hash piles equal first tests onto one shard by design.
         entries = [subscription(f"s{i}", a1=1) for i in range(6)]
-        return build_engine(*entries, num_shards=3, policy="hash"), entries
+        return build_engine(*entries, num_shards=3), entries
 
     def test_forced_rebalance_levels_counts_and_updates_owners(self, live_registry):
         engine, entries = self.make_skewed()
@@ -187,50 +165,16 @@ class TestRebalance:
 
     def test_rebalance_is_a_noop_below_threshold(self):
         entries = [subscription(f"s{i}", a1=i % 3) for i in range(6)]
-        engine = build_engine(*entries, num_shards=3, policy="hash")
+        engine = build_engine(*entries, num_shards=3)
         if engine.skew() <= engine.rebalance_threshold:
             assert engine.rebalance() == 0
 
     def test_rebalance_interval_triggers_automatically(self):
-        engine = build_engine(num_shards=3, policy="hash", rebalance_interval=6)
+        engine = build_engine(num_shards=3, rebalance_interval=6)
         for i in range(6):
             engine.insert(subscription(f"s{i}", a1=1))
         # The sixth mutation ran a pass; the skewed pile was spread out.
         assert sorted(len(shard.tree) for shard in engine.shards) == [2, 2, 2]
-
-
-class TestWorkersAndLifecycle:
-    def test_threaded_results_equal_serial(self):
-        entries = [
-            subscription(f"s{i}", a1=i % 3, a2=(i + 1) % 3) for i in range(9)
-        ]
-        serial = build_engine(*entries, num_shards=3, workers=0)
-        serial.bind_links(NUM_LINKS, link_of)
-        events = [event(a, b, 0) for a in DOMAIN for b in DOMAIN]
-        mask = TritVector([M] * NUM_LINKS)
-        with build_engine(*(entries), num_shards=3, workers=2) as threaded:
-            threaded.bind_links(NUM_LINKS, link_of)
-            for target in events:
-                assert subscribers_of(threaded.match(target)) == subscribers_of(
-                    serial.match(target)
-                )
-                assert (
-                    threaded.match_links(target, mask).mask
-                    == serial.match_links(target, mask).mask
-                )
-            batched = threaded.match_batch(events)
-            for target, result in zip(events, batched):
-                assert subscribers_of(result) == subscribers_of(serial.match(target))
-        assert threaded._executor is None  # context exit shut the pool down
-
-    def test_close_is_idempotent_and_serial_noop(self):
-        engine = build_engine()
-        engine.close()
-        engine.close()
-
-    def test_repr_names_shards_and_policy(self):
-        engine = build_engine(subscription("s0", a1=1))
-        assert "policy='round-robin'" in repr(engine)
 
 
 class TestEarlyExit:
@@ -335,9 +279,7 @@ class TestConfigThreading:
             RoutingTable(two_broker_topology, "B0"),
             spanning_trees_for_publishers(two_broker_topology),
             schema5,
-            engine="sharded",
-            shards=2,
-            shard_policy="balanced",
+            engine="sharded/2",
         )
         router.add_subscription(make_subscription(schema5, "a1=1", "c0"))
         decision = router.route(Event.from_tuple(schema5, (1, 0, 0, 0, 0)), "B0")
@@ -346,14 +288,7 @@ class TestConfigThreading:
     def test_cli_parses_shard_flags(self):
         from repro.cli import _build_parser
 
-        args = _build_parser().parse_args(
-            [
-                "--engine", "sharded",
-                "--shards", "2",
-                "--shard-policy", "balanced",
-                "--shard-workers", "1",
-                "chart1",
-            ]
-        )
-        assert (args.engine, args.shards) == ("sharded", 2)
-        assert (args.shard_policy, args.shard_workers) == ("balanced", 1)
+        args = _build_parser().parse_args(["--engine", "sharded/2+agg", "chart1"])
+        assert (args.engine.kind, args.engine.shards) == ("sharded", 2)
+        assert args.engine.aggregate
+        assert str(args.engine) == "sharded/2+agg"
