@@ -37,7 +37,7 @@ Run from the repo root::
         --counts 1000000 --baseline-limit 0 --cover-scan-limit 16
 
 ``--engine SPEC`` picks the inner engine both sides run (default
-``compiled``; e.g. ``compiled:vector`` or ``sharded/4``): the baseline is
+``compiled``; e.g. ``compiled:vector``): the baseline is
 that spec as given, the aggregated side wraps it in the covering forest.
 
 ``--save`` archives the table under ``benchmarks/results/`` and emits
@@ -93,15 +93,14 @@ def build_engine(
 
 
 def program_cells(engine):
-    """Memory proxy: total compiled-array entries of the inner program(s)."""
+    """Memory proxy: total compiled-array entries of the inner program."""
     inner = engine.inner if isinstance(engine, AggregatingEngine) else engine
-    shards = getattr(inner, "shards", [inner])
-    return sum(
-        shard.program.node_count
-        + len(shard.program.subs_flat)
-        + len(shard.program.value_ids)
-        + len(shard.program.range_tests)
-        for shard in shards
+    program = inner.program
+    return (
+        program.node_count
+        + len(program.subs_flat)
+        + len(program.value_ids)
+        + len(program.range_tests)
     )
 
 

@@ -6,8 +6,8 @@ exactly the same number of matching *steps* (the equivalence suite proves
 it); this script measures how much wall-clock time the compiled arrays save
 per step.  ``--engine SPEC`` picks the contender (default ``compiled``; e.g.
 ``compiled:vector`` or ``compiled+agg``); the tree engine is always the
-reference.  Specs whose step counts legitimately differ from the tree's
-(sharded, ``+agg``) are checked on match sets instead of steps.
+reference.  ``+agg`` specs, whose step counts legitimately differ from the
+tree's, are checked on match sets instead of steps.
 
 Run from the repo root::
 
@@ -165,12 +165,12 @@ def run(
                 engine.match(events[0])  # warm up (compiled: force compilation)
                 per_match[name], steps[name] = time_matches(engine, events, repeats)
         compression = None
-        if contender.kind == "compiled" and not contender.aggregate:
+        if not contender.aggregate:
             assert steps["tree"] == steps["compiled"], "engines disagree on steps"
         else:
             # Aggregation (deduped leaves walk once for many subscribers)
-            # and sharding (one root walk per shard) legitimately change the
-            # step count; sanity-check match sets instead of steps.
+            # legitimately changes the step count; sanity-check match sets
+            # instead of steps.
             checked = build_engine(contender, subscriptions, cache=cache)
             tree_set = sorted(
                 s.subscription_id
@@ -180,8 +180,7 @@ def run(
                 s.subscription_id for s in checked.match(events[0]).subscriptions
             )
             assert tree_set == checked_set, f"{contender} changed the match set"
-            if contender.aggregate:
-                compression = checked.compression_ratio
+            compression = checked.compression_ratio
         speedup = per_match["tree"] / per_match["compiled"]
         row = {
             "subscriptions": count,

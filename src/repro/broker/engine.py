@@ -33,7 +33,7 @@ class MatchingEngine:
     ``engine`` is an :class:`~repro.matching.engines.EngineSpec` or its
     string form — ``"compiled"`` (the default: array kernels from
     :mod:`repro.matching.compile`), ``"tree"`` (the object-graph PST),
-    ``"sharded/4"``, ``"compiled:vector+agg"`` and so on.  With
+    ``"compiled:vector+agg"`` and so on.  With
     ``factoring_attributes`` the matcher is a :class:`FactoredMatcher`
     whose sub-trees are searched with the selected engine, when the spec
     allows factoring (see :func:`~repro.matching.engines.create_matcher`)."""

@@ -79,13 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_engine_spec,
         default="compiled",
         metavar="SPEC",
-        help="matching engine as KIND[/SHARDS][:BACKEND][+agg]: KIND is "
-        "compiled (array kernels, the default), tree (the object-graph PST) "
-        "or sharded (partitioned compiled shards, /SHARDS of them, default "
-        "4); BACKEND is interp (default) or vector (numpy bulk kernels; "
-        "interp when numpy is missing); +agg compresses the subscription "
-        "set with the online covering forest first.  Examples: compiled, "
-        "compiled:vector+agg, sharded/4+agg, tree",
+        help="matching engine as KIND[:BACKEND][+agg]: KIND is compiled "
+        "(array kernels, the default) or tree (the object-graph PST); "
+        "BACKEND is interp (default) or vector (numpy bulk kernels; interp "
+        "when numpy is missing); +agg compresses the subscription set with "
+        "the online covering forest first.  Examples: compiled, "
+        "compiled:vector+agg, tree",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

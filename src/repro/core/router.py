@@ -256,11 +256,11 @@ class ContentRouter:
         Returns ``True`` when the layout changed.  In that case every cached
         structure keyed on link positions or packed mask bits is invalid —
         the engine's annotation *and* its link caches (CompiledEngine's
-        ``(projection, yes, maybe)``-keyed cache, ShardedEngine's per-shard
-        outer caches) — so the engine is rebound, which flushes them.  A
-        stale cache here is not a perf bug but a *correctness* bug: after a
-        repair the same packed mask bits can denote different virtual links,
-        so a cache hit would route to the pre-failure destinations.  When
+        ``(projection, yes, maybe)``-keyed cache) — so the engine is
+        rebound, which flushes them.  A stale cache here is not a perf bug
+        but a *correctness* bug: after a repair the same packed mask bits can
+        denote different virtual links, so a cache hit would route to the
+        pre-failure destinations.  When
         the layout is unchanged (a failed lateral link, say) nothing is
         rebound and warm caches survive — the surgical half of the repair.
         """

@@ -49,7 +49,7 @@ class BaselineConfig:
     num_events_per_publisher: int = 150
     seed: int = 0
     #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
-    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    #: its string form (``compiled``, ``compiled:vector+agg``, ``tree``, ...).
     engine: Union[str, EngineSpec] = "compiled"
 
 

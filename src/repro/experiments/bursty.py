@@ -42,7 +42,7 @@ class BurstyConfig:
     on_mean_s: float = 0.05
     seed: int = 0
     #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
-    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    #: its string form (``compiled``, ``compiled:vector+agg``, ``tree``, ...).
     engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None

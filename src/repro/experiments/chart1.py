@@ -55,7 +55,7 @@ class Chart1Config:
     seed: int = 0
     include_match_first: bool = False
     #: Matching engine: an :class:`~repro.matching.engines.EngineSpec` or
-    #: its string form (``compiled``, ``sharded/4+agg``, ``tree``, ...).
+    #: its string form (``compiled``, ``compiled:vector+agg``, ``tree``, ...).
     engine: Union[str, EngineSpec] = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None

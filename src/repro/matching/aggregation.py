@@ -5,7 +5,7 @@ walking the program to the program's *size*: the record arrays grow with the
 number of subscribers even though real workloads register the same few
 predicate bodies over and over (Zipf-skewed interests).  This module shrinks
 the subscription set *before* compilation, SIENA-style, with two mechanisms
-layered between ingest and the compiled/sharded engines:
+layered between ingest and the compiled engine:
 
 **Canonical deduplication.**  Every incoming predicate is canonicalized with
 the exact per-attribute containment algebra of
@@ -70,15 +70,14 @@ leaves; expansion back to subscriber sets happens here:
 
 Membership changes that leave the tree untouched (a dedup hit, removing one
 of several members) refresh the leaf annotation through the engines'
-``refresh_links`` path — a path re-annotation plus surgical cache repair,
-not a rebuild.  The descent cache is repaired the same way: churn evicts
+``refresh_links`` path — a path re-annotation plus a cache flush, not a
+rebuild.  The descent cache is repaired the same way: churn evicts
 only the entries whose event satisfies the churned group's canonical
 predicate (every entry containing — or now owed — that group keys an event
 its canonical accepts), falling back to a wholesale flush only past
 :data:`DESCENT_REPAIR_SCAN_LIMIT` entries.  Everything downstream — trit
-annotations, :class:`~repro.matching.compile.ProjectionCache`, surgical
-shard-cache repair, batching, and both kernel backends — runs
-unchanged over the compressed program.
+annotations, :class:`~repro.matching.compile.ProjectionCache`, batching,
+and both kernel backends — runs unchanged over the compressed program.
 
 Observability: ``match.aggregation.compression_ratio`` (subscriptions per
 compiled leaf), ``match.aggregation.forest_nodes`` (live groups),
@@ -125,7 +124,7 @@ DESCENT_CACHE_CAPACITY = 4096
 
 #: Surgical descent-cache repair scans every cached key against the churned
 #: group's canonical predicate; past this many entries one wholesale flush
-#: is cheaper than the scan (mirrors the sharded engine's repair limit).
+#: is cheaper than the scan.
 DESCENT_REPAIR_SCAN_LIMIT = 2048
 
 #: Descent-cache misses that walk into a root's subtree before the subtree
@@ -221,7 +220,7 @@ class _Group:
 
 
 class AggregatingEngine(MatcherEngine):
-    """Covering-forest aggregation in front of a compiled or sharded engine.
+    """Covering-forest aggregation in front of a compiled engine.
 
     Exposes the full :class:`~repro.matching.base.MatcherEngine` surface;
     match sets, brute-force sets, and refined link masks are exactly the
@@ -248,7 +247,7 @@ class AggregatingEngine(MatcherEngine):
         if not hasattr(inner, "refresh_links"):
             raise SubscriptionError(
                 f"engine {inner.name!r} cannot refresh leaf link annotations "
-                "in place — aggregation requires the compiled or sharded engine"
+                "in place — aggregation requires the compiled engine"
             )
         self.inner = inner
         self.schema = inner.schema
@@ -615,8 +614,7 @@ class AggregatingEngine(MatcherEngine):
         demoted/promoted/reparented relatives) accepts a subset of those
         events, and an entry contains a group iff the group's canonical
         matches the entry's event.  Surviving entries keep their (possibly
-        stale) inner step counts, mirroring the sharded engine's surgical
-        repair.  Past :attr:`_descent_repair_limit` entries a wholesale
+        stale) inner step counts.  Past :attr:`_descent_repair_limit` entries a wholesale
         flush is cheaper than scanning every key."""
         cache = self._descent_cache
         if len(cache) == 0:

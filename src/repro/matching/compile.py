@@ -178,8 +178,8 @@ class ProjectionCache:
         """Drop entries ``stale(key, value)`` flags; returns how many.
 
         The surgical alternative to :meth:`flush` for callers whose keys are
-        stable across index mutations (the sharded engine's event caches):
-        only entries a subscription change actually touched go, the rest
+        stable across index mutations (the aggregation layer's descent
+        cache): only entries a subscription change actually touched go, the rest
         keep serving hits."""
         entries = self._entries
         doomed = [key for key, value in entries.items() if stale(key, value)]

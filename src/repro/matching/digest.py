@@ -143,6 +143,11 @@ class MatchDigest:
                 int.from_bytes(body[4 + ID_BYTES * i : 4 + ID_BYTES * (i + 1)], "big")
                 for i in range(count)
             )
+            # The encoder writes sorted, distinct ids.  Anything else decodes
+            # to a digest that a forwarding broker re-encodes wrongly
+            # (duplicates) or not at all (unordered ids).
+            if any(later <= earlier for earlier, later in zip(ids, ids[1:])):
+                raise CodecError("match digest ids not strictly increasing")
             return cls(epoch, checksum, ids)
         if kind == _KIND_BITMAP:
             if len(body) < DENSE_HEADER_BYTES:
@@ -152,6 +157,8 @@ class MatchDigest:
             if len(body) != DENSE_HEADER_BYTES + length:
                 raise CodecError("match digest bitmap length mismatch")
             bitmap = int.from_bytes(body[DENSE_HEADER_BYTES:], "little")
+            if base + bitmap.bit_length() - 1 > _U64_MASK:
+                raise CodecError("match digest bitmap runs past the 64-bit id range")
             ids = []
             while bitmap:
                 low = bitmap & -bitmap

@@ -16,11 +16,10 @@ compiled engine is simply faster per event, while the tree engine has no
 compile step and is the easier one to read next to the paper.
 
 Consumers choose an engine with one :class:`EngineSpec` — or its string
-form, ``KIND[/SHARDS][:BACKEND][+agg]`` such as ``compiled``,
-``compiled:vector+agg``, ``sharded/4+agg`` or ``tree`` — and build it
-through :func:`create_engine` (or :func:`create_matcher`, which also
-decides whether subscription factoring applies).  The project default is
-``"compiled"``.
+form, ``KIND[:BACKEND][+agg]`` such as ``compiled``, ``compiled:vector+agg``
+or ``tree`` — and build it through :func:`create_engine` (or
+:func:`create_matcher`, which also decides whether subscription factoring
+applies).  The project default is ``"compiled"``.
 """
 
 from __future__ import annotations
@@ -53,38 +52,30 @@ from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
 
 #: Valid engine kinds, in preference order.
-ENGINE_NAMES = ("compiled", "sharded", "tree")
+ENGINE_NAMES = ("compiled", "tree")
 
 #: The engine used when callers do not choose one.
 DEFAULT_ENGINE = "compiled"
 
-#: Shard count of a ``sharded`` spec that does not name one.
-DEFAULT_SHARDS = 4
-
 #: Bucket boundaries of the ``engine.match_batch.size`` histogram.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-_SPEC_SYNTAX = re.compile(
-    r"(?P<kind>[a-z]+)(?:/(?P<shards>\d+))?(?::(?P<backend>[a-z]+))?(?P<agg>\+agg)?"
-)
+_SPEC_SYNTAX = re.compile(r"(?P<kind>[a-z]+)(?::(?P<backend>[a-z]+))?(?P<agg>\+agg)?")
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One engine configuration: the engine kind, its shard count (sharded
-    only), the kernel backend and whether the covering forest aggregates
-    subscriptions first.
+    """One engine configuration: the engine kind, the kernel backend and
+    whether the covering forest aggregates subscriptions first.
 
-    The string form is ``KIND[/SHARDS][:BACKEND][+agg]``; :meth:`parse`
-    reads it and ``str(spec)`` writes the canonical form back (the default
-    ``interp`` backend is left out, a sharded spec always names its shard
-    count).  Construction validates every combination and resolves
-    ``vector`` to ``interp`` when numpy is not importable, so a spec always
-    names the backend that actually runs.
+    The string form is ``KIND[:BACKEND][+agg]``; :meth:`parse` reads it and
+    ``str(spec)`` writes the canonical form back (the default ``interp``
+    backend is left out).  Construction validates every combination and
+    resolves ``vector`` to ``interp`` when numpy is not importable, so a spec
+    always names the backend that actually runs.
     """
 
     kind: str = DEFAULT_ENGINE
-    shards: Optional[int] = None
     backend: str = DEFAULT_BACKEND
     aggregate: bool = False
 
@@ -94,44 +85,32 @@ class EngineSpec:
                 f"unknown matcher engine {self.kind!r} — expected one of {ENGINE_NAMES}"
             )
         backend = resolve_backend(self.backend)  # rejects unknown names
-        if self.kind == "sharded":
-            if self.shards is None:
-                object.__setattr__(self, "shards", DEFAULT_SHARDS)
-            elif self.shards < 1:
-                raise SubscriptionError("a sharded engine needs at least 1 shard")
-        elif self.shards is not None:
-            raise SubscriptionError(
-                f"engine {self.kind!r} is not sharded — a shard count requires "
-                f"engine 'sharded'"
-            )
         if self.kind == "tree":
             if self.backend != DEFAULT_BACKEND:
                 raise SubscriptionError(
                     f"engine 'tree' walks the object graph directly and has no "
                     f"kernel backends — backend {self.backend!r} requires engine "
-                    f"'compiled' or 'sharded'"
+                    f"'compiled'"
                 )
             if self.aggregate:
                 raise SubscriptionError(
                     "engine 'tree' has no compiled program to compress — "
-                    "aggregate ('+agg') requires engine 'compiled' or 'sharded'"
+                    "aggregate ('+agg') requires engine 'compiled'"
                 )
         object.__setattr__(self, "backend", backend)
 
     @classmethod
     def parse(cls, text: str) -> "EngineSpec":
-        """Read ``KIND[/SHARDS][:BACKEND][+agg]``; raises
+        """Read ``KIND[:BACKEND][+agg]``; raises
         :class:`~repro.errors.SubscriptionError` on anything else."""
         match = _SPEC_SYNTAX.fullmatch(text.strip())
         if match is None:
             raise SubscriptionError(
                 f"malformed engine spec {text!r} — expected "
-                f"KIND[/SHARDS][:BACKEND][+agg], e.g. 'compiled:vector+agg'"
+                f"KIND[:BACKEND][+agg], e.g. 'compiled:vector+agg'"
             )
-        shards = match["shards"]
         return cls(
             kind=match["kind"],
-            shards=None if shards is None else int(shards),
             backend=match["backend"] or DEFAULT_BACKEND,
             aggregate=match["agg"] is not None,
         )
@@ -139,16 +118,12 @@ class EngineSpec:
     @property
     def factors(self) -> bool:
         """Whether subscription factoring may split the subscription set
-        before this engine sees it.  Sharding is itself a partitioned index
-        (the hash policy partitions by first indexed attribute — factoring's
-        own idea), and aggregation needs the whole set to build its covering
-        forest, so both take precedence over factoring."""
-        return self.kind != "sharded" and not self.aggregate
+        before this engine sees it.  Aggregation needs the whole set to
+        build its covering forest, so it takes precedence over factoring."""
+        return not self.aggregate
 
     def __str__(self) -> str:
         text = self.kind
-        if self.kind == "sharded":
-            text += f"/{self.shards}"
         if self.backend != DEFAULT_BACKEND:
             text += f":{self.backend}"
         if self.aggregate:
@@ -439,35 +414,14 @@ class CompiledEngine(_EngineBase):
             get_registry().counter("engine.annotation_rebuilds", engine=self.name).inc()
         return program
 
-    def _match_links_packed(
-        self, event: Event, yes_bits: int, maybe_bits: int
-    ) -> "tuple[int, int]":
-        """Packed-mask link matching without per-engine obs accounting.
-
-        Returns ``(final_yes_bits, steps)``.  This is the shard-side entry
-        point of :class:`~repro.matching.sharding.ShardedEngine`: the
-        sharded engine does its own (engine-labeled) accounting over the
-        merged result, so the per-shard calls must not also bump the
-        ``engine=compiled`` counters."""
-        num_links = self._require_links()
-        program = self._annotated_program(num_links)
-        return program.match_links(event, yes_bits, maybe_bits)
-
-    def _match_links_batch_packed(
-        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
-    ) -> "List[tuple[int, int]]":
-        """Batch form of :meth:`_match_links_packed` (same contract)."""
-        num_links = self._require_links()
-        program = self._annotated_program(num_links)
-        return program.match_links_batch(events, yes_bits, maybe_bits)
-
     def match_links(
         self, event: Event, initialization_mask: TritVector
     ) -> LinkMatchResult:
         num_links = self._require_links()
         self._check_mask(initialization_mask)
         yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        final_yes, steps = self._match_links_packed(event, yes_bits, maybe_bits)
+        program = self._annotated_program(num_links)
+        final_yes, steps = program.match_links(event, yes_bits, maybe_bits)
         self._obs_link_matches.inc()
         self._obs_link_match_steps.inc(steps)
         return LinkMatchResult(unpack_tritvector(final_yes, 0, num_links), steps)
@@ -478,7 +432,8 @@ class CompiledEngine(_EngineBase):
         num_links = self._require_links()
         self._check_mask(initialization_mask)
         yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        packed = self._match_links_batch_packed(events, yes_bits, maybe_bits)
+        program = self._annotated_program(num_links)
+        packed = program.match_links_batch(events, yes_bits, maybe_bits)
         self._obs_link_matches.inc(len(packed))
         self._obs_link_match_steps.inc(sum(steps for _final, steps in packed))
         return [
@@ -509,12 +464,12 @@ def create_engine(
 ) -> MatcherEngine:
     """Instantiate the engine an :class:`EngineSpec` (or its string) names.
 
-    ``match_cache_capacity`` tunes the compiled and sharded engines'
-    projection caches (``0`` disables them, ``None`` means
+    ``match_cache_capacity`` tunes the compiled engine's projection caches
+    (``0`` disables them, ``None`` means
     :data:`~repro.matching.compile.DEFAULT_MATCH_CACHE_CAPACITY`); the tree
     engine has no cache and ignores it.
 
-    A spec with ``aggregate`` wraps the compiled or sharded engine in an
+    A spec with ``aggregate`` wraps the compiled engine in an
     :class:`~repro.matching.aggregation.AggregatingEngine`: subscriptions
     are canonicalized and deduplicated through an online covering forest so
     the compiled arrays grow with *distinct* predicates, not subscribers.
@@ -526,31 +481,16 @@ def create_engine(
         match_cache_capacity = DEFAULT_MATCH_CACHE_CAPACITY
     if spec.kind == "tree":
         return TreeEngine(schema, attribute_order=attribute_order, domains=domains)
-    if spec.kind == "compiled":
-        built: MatcherEngine = CompiledEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            match_cache_capacity=match_cache_capacity,
-            backend=spec.backend,
-        )
-    else:
-        # Imported here: sharding builds on CompiledEngine, so importing it
-        # at module scope would be a cycle.
-        from repro.matching.sharding import ShardedEngine
-
-        assert spec.shards is not None
-        built = ShardedEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            num_shards=spec.shards,
-            match_cache_capacity=match_cache_capacity,
-            backend=spec.backend,
-        )
+    built: MatcherEngine = CompiledEngine(
+        schema,
+        attribute_order=attribute_order,
+        domains=domains,
+        match_cache_capacity=match_cache_capacity,
+        backend=spec.backend,
+    )
     if spec.aggregate:
-        # Imported here for the same reason: aggregation wraps engines this
-        # module creates.
+        # Imported here: aggregation wraps the engines this module creates,
+        # so importing it at module scope would be a cycle.
         from repro.matching.aggregation import AggregatingEngine
 
         return AggregatingEngine(built)

@@ -128,7 +128,7 @@ class FactoredMatcher(Matcher):
         if domains is None:
             raise SubscriptionError("factoring requires finite attribute domains")
         spec = engine_spec(engine)
-        if spec.kind not in ("tree", "compiled") or spec.aggregate:
+        if spec.aggregate:
             raise SubscriptionError(
                 f"cannot factor over engine {str(spec)!r} — expected 'tree' or "
                 f"'compiled[:BACKEND]'"

@@ -344,8 +344,8 @@ def value_tuple_test(predicate: "Predicate") -> Callable[[Tuple[AttributeValue, 
     """A fast ``values_tuple -> bool`` evaluator of ``predicate``.
 
     Built for scan loops that test one predicate against many resident
-    value tuples — the surgical cache repair in the sharded and aggregating
-    engines runs it once per cached entry on every churn op.  The common
+    value tuples — the aggregating engine's surgical descent-cache repair
+    runs it once per cached entry on every churn op.  The common
     case — equality tests, which miss on the first compare for almost every
     tuple — is plain tuple compares with no method calls; only genuinely
     general tests (ranges, intervals) fall back to ``evaluate``.

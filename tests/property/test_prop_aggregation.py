@@ -2,8 +2,8 @@
 
 :class:`~repro.matching.aggregation.AggregatingEngine` must be
 indistinguishable from the engine it wraps running *without* aggregation,
-for every subscription set, inner engine (compiled or sharded), kernel
-backend, cache capacity, event, and initialization mask:
+for every subscription set, kernel backend, cache capacity, event, and
+initialization mask:
 
 * the same match set (compared as sorted subscription ids),
 * the same refined link mask, bit for bit, and
@@ -21,7 +21,8 @@ demotion at insert.  A seeded churn test drives inserts and removes —
 including removing the last member of covering parents, which must promote
 covered children back into the compiled program — with caches enabled, so
 the descent cache's flush discipline and ``refresh_links`` repair are under
-test the whole time.
+test the whole time, and the covering forest's shape is checked after every
+step (:func:`assert_covering_forest`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_sche
 from repro.matching.aggregation import AggregatingEngine
 from repro.matching.engines import create_engine
 from repro.matching.predicates import EqualityTest, RangeTest
+from repro.matching.subsumption import predicate_subsumes
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -55,7 +57,7 @@ events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
-inner_kinds = st.sampled_from(["compiled", "sharded/2"])
+inner_kinds = st.just("compiled")
 capacities = st.sampled_from([0, 64])
 
 
@@ -107,6 +109,25 @@ def assert_same_matches(plain, aggregated, event):
         s.subscription_id for s in aggregated.match(event).subscriptions
     )
     assert plain_ids == aggregated_ids
+
+
+def assert_covering_forest(engine):
+    """The forest invariant placement relies on: it walks covering sets by
+    parent pointer, so every parent/child edge must be a real cover, the
+    parent and child links must agree, and the root table must hold
+    exactly the parentless groups."""
+    for canonical, group in engine._groups.items():
+        assert group.canonical == canonical
+        if group.parent is None:
+            assert engine._roots.get(canonical) is group
+        else:
+            assert any(child is group for child in group.parent.children)
+            assert predicate_subsumes(group.parent.canonical, group.canonical)
+        for child in group.children:
+            assert child.parent is group
+    for canonical, root in engine._roots.items():
+        assert root.parent is None
+        assert engine._groups.get(canonical) is root
 
 
 class TestAggregationEquivalence:
@@ -240,14 +261,17 @@ class TestIngestOrderInvariance:
 
 
 class TestChurnEquivalence:
-    def _run_churn(self, inner, *, rounds=150, seed=20260807):
+    def _run_churn(self, inner, *, use_index=True, rounds=150, seed=20260807):
         """Seeded insert/remove churn with caches enabled.  Removals target
         *all* live ids uniformly, so covering parents regularly lose their
         last member and must promote covered children back to compiled
-        roots mid-stream; every answer is checked immediately after."""
+        roots mid-stream; every answer and the forest's shape are checked
+        immediately after."""
         rng = random.Random(seed)
         plain = create_engine(inner, SCHEMA, domains=DOMAINS)
-        aggregated = create_engine(f"{inner}+agg", SCHEMA, domains=DOMAINS)
+        aggregated = AggregatingEngine(
+            create_engine(inner, SCHEMA, domains=DOMAINS), use_index=use_index
+        )
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         live = {}
@@ -285,6 +309,7 @@ class TestChurnEquivalence:
                 live[subscription.subscription_id] = subscription
                 plain.insert(subscription)
                 aggregated.insert(clone(subscription))
+            assert_covering_forest(aggregated)
             event = Event.from_tuple(
                 SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
             )
@@ -304,8 +329,8 @@ class TestChurnEquivalence:
     def test_churn_compiled_inner(self):
         self._run_churn("compiled")
 
-    def test_churn_sharded_inner(self):
-        self._run_churn("sharded/3")
+    def test_churn_compiled_inner_linear_scan(self):
+        self._run_churn("compiled", use_index=False)
 
     def test_direct_wrapper_matches_create_engine(self):
         """Constructing the wrapper directly is the same engine the factory

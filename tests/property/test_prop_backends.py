@@ -12,9 +12,8 @@ backend is *observationally identical* to the reference interpreter:
 
 Pinned here for the ``vector`` backend against ``interp``, across fresh
 programs, churn/recompile mid-stream, empty batches, duplicate-heavy
-batches, and batches larger than the vector chunk width — for the compiled
-engine and for sharded engines whose shards run the vector kernel.  The
-vector backend needs numpy, so the module is skipped without it.
+batches, batches larger than the vector chunk width and link rebinding.
+The vector backend needs numpy, so the module is skipped without it.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, TritVector, Y
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
-from repro.matching.engines import CompiledEngine, create_engine
+from repro.matching.engines import create_engine
 from repro.matching.predicates import EqualityTest, RangeTest
-from repro.matching.sharding import ShardedEngine
 
 pytest.importorskip("numpy")
 
@@ -231,101 +229,19 @@ class TestVectorEquivalence:
                     assert got.mask == want.mask
                     assert got.steps == want.steps
 
-
-@pytest.fixture
-def sharded_pair():
-    """(interp sharded reference, vector sharded) over one live set."""
-    reference, vector = (
-        ShardedEngine(
-            SCHEMA,
-            domains=DOMAINS,
-            num_shards=3,
-            match_cache_capacity=0,
-            early_exit=False,
-            backend=backend,
+    def test_rebind_refreshes_annotations(self):
+        """Re-annotation (bind_links) bumps generations; the vector backend
+        rebuilds its derived state instead of answering from stale masks."""
+        interp, candidates = build_engines(
+            make_subscriptions([(0, 1, None, None), (None,) * 4])
         )
-        for backend in ("interp", "vector")
-    )
-    reference.bind_links(NUM_LINKS, link_of)
-    vector.bind_links(NUM_LINKS, link_of)
-    return reference, vector
-
-
-class TestShardedVectorEquivalence:
-    def test_seeded_stream_with_churn(self, sharded_pair):
-        reference, vector = sharded_pair
-        rng = random.Random(99)
-        live = {}
-        for round_index in range(40):
-            if live and rng.random() < 0.35:
-                subscription_id = rng.choice(sorted(live))
-                del live[subscription_id]
-                reference.remove(subscription_id)
-                vector.remove(subscription_id)
-            else:
-                tests = {
-                    name: EqualityTest(rng.choice(DOMAIN))
-                    for name in SCHEMA.names
-                    if rng.random() < 0.6
-                }
-                subscription = Subscription(
-                    Predicate(SCHEMA, tests), f"s{rng.randrange(NUM_LINKS)}"
-                )
-                live[subscription.subscription_id] = subscription
-                reference.insert(subscription)
-                vector.insert(clone(subscription))
-            events = [
-                Event.from_tuple(
-                    SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
-                )
-                for _ in range(rng.randrange(1, 6))
-            ]
-            # Duplicate an event within the batch now and then.
-            if len(events) > 1 and rng.random() < 0.5:
-                events.append(events[0])
-            want_batch = reference.match_batch(events)
-            got_batch = vector.match_batch(events)
-            for got, want in zip(got_batch, want_batch):
-                assert id_set(got) == id_set(want)
-                assert got.steps == want.steps
-            mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            want_links = reference.match_links_batch(events, mask)
-            got_links = vector.match_links_batch(events, mask)
-            for got, want in zip(got_links, want_links):
-                assert got.mask == want.mask
-                assert got.steps == want.steps
-
-    def test_empty_batch(self, sharded_pair):
-        _reference, vector = sharded_pair
-        assert vector.match_batch([]) == []
-        assert vector.match_links_batch([], TritVector([M] * NUM_LINKS)) == []
-
-    def test_rebind_refreshes_annotations(self, sharded_pair):
-        """Re-annotation (bind_links) bumps generations; the vector shards
-        rebuild their derived state instead of answering from stale masks."""
-        reference, vector = sharded_pair
-        for subscription in make_subscriptions([(0, 1, None, None), (None,) * 4]):
-            reference.insert(subscription)
-            vector.insert(clone(subscription))
         event = Event.from_tuple(SCHEMA, (0, 1, 2, 0))
         mask = TritVector([M] * NUM_LINKS)
-        vector.match_links_batch([event], mask)
-        for engine in (reference, vector):
+        for engine in (interp, *candidates):
+            engine.bind_links(NUM_LINKS, link_of)
+            engine.match_links_batch([event], mask)
             engine.bind_links(NUM_LINKS, lambda subscription: 0)
-        [want] = reference.match_links_batch([event], mask)
-        [got] = vector.match_links_batch([event], mask)
-        assert got.mask == want.mask and got.steps == want.steps
-
-
-def test_create_engine_sharded_vector_roundtrip():
-    """A ``sharded/2:vector`` spec builds a working vector-kernel engine."""
-    engine = create_engine("sharded/2:vector", SCHEMA, domains=DOMAINS)
-    assert engine.backend_name == "vector"
-    for subscription in make_subscriptions([(0, None, 1, None), (None,) * 4]):
-        engine.insert(subscription)
-    reference = CompiledEngine(SCHEMA, domains=DOMAINS)
-    for subscription in engine.subscriptions:
-        reference.insert(clone(subscription))
-    events = [Event.from_tuple(SCHEMA, (0, 0, 1, 2))] * 3
-    for got, want in zip(engine.match_batch(events), reference.match_batch(events)):
-        assert id_set(got) == id_set(want)
+        [want] = interp.match_links_batch([event], mask)
+        for engine in candidates:
+            [got] = engine.match_links_batch([event], mask)
+            assert got.mask == want.mask and got.steps == want.steps

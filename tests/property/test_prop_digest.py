@@ -3,7 +3,7 @@
 The invariant under test is *bit-identity*: routing a random event through
 random topologies with digests enabled produces exactly the same forward
 edges, delivery sets and link masks as per-hop rematching — across matching
-engines, execution backends, sharding and aggregation, and through every
+engines, execution backends and aggregation, and through every
 fallback of the digest matrix (epoch-mismatch churn, diverged subscription
 sets, stale flood windows, fault replays).
 """
@@ -23,14 +23,12 @@ DOMAIN = [0, 1]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 
 #: The engine matrix the bit-identity property runs over: both engines, the
-#: vector execution backend, sharding, and subscription aggregation.
+#: vector execution backend, and subscription aggregation.
 CONFIGS = [
     "tree",
     "compiled",
     "compiled:vector",
-    "sharded/2",
     "compiled+agg",
-    "sharded/2+agg",
 ]
 
 CONFIG_IDS = [f"engine={config}" for config in CONFIGS]

@@ -384,12 +384,11 @@ class TestErrorsAndFactory:
         with pytest.raises(SubscriptionError, match="refresh"):
             AggregatingEngine(TreeEngine(SCHEMA))
 
-    def test_factory_wraps_compiled_and_sharded(self):
-        for spec in ("compiled+agg", "sharded/2+agg"):
-            engine = create_engine(spec, SCHEMA, domains=DOMAINS)
-            assert isinstance(engine, AggregatingEngine)
-            engine.insert(sub("s0", a1=EqualityTest(1)))
-            assert engine.subscription_count == 1
+    def test_factory_wraps_compiled(self):
+        engine = create_engine("compiled+agg", SCHEMA, domains=DOMAINS)
+        assert isinstance(engine, AggregatingEngine)
+        engine.insert(sub("s0", a1=EqualityTest(1)))
+        assert engine.subscription_count == 1
 
     def test_subscriptions_lists_members_not_representatives(self):
         engine = make_engine()

@@ -2,8 +2,7 @@
 
 Covers the registry surface (:mod:`repro.matching.backends`), how an engine
 spec's backend threads through :func:`create_engine`, generation-keyed
-backend scratch on :class:`CompiledProgram`, and the sharded engine's error
-propagation.
+and backend scratch on :class:`CompiledProgram`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.matching.backends import (
 )
 from repro.matching.engines import CompiledEngine, create_engine
 from repro.matching.predicates import EqualityTest
-from repro.matching.sharding import ShardedEngine
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {name: [0, 1, 2] for name in SCHEMA.names}
@@ -87,15 +85,6 @@ class TestEngineWiring:
         # The default backend is the tree engine's own semantics.
         create_engine(f"tree:{DEFAULT_BACKEND}", SCHEMA)
 
-    @needs_numpy
-    def test_sharded_backend_name(self):
-        engine = ShardedEngine(SCHEMA, num_shards=2, backend="vector")
-        assert engine.backend_name == "vector"
-        assert "backend='vector'" in repr(engine)
-        default = ShardedEngine(SCHEMA, num_shards=2)
-        assert default.backend_name == DEFAULT_BACKEND
-        assert create_engine("sharded/2:vector", SCHEMA).backend_name == "vector"
-
 
 @needs_numpy
 class TestGenerationScratch:
@@ -124,11 +113,3 @@ class TestGenerationScratch:
         program.annotate(2, lambda subscription: 0)
         assert program.generation > generation
         assert not program.backend_state
-
-
-class TestShardWorkerFailures:
-    def test_serial_path_raises_unannotated(self):
-        engine = ShardedEngine(SCHEMA, num_shards=2)
-        foreign = Event.from_tuple(uniform_schema(5), (0, 0, 0, 0, 0))
-        with pytest.raises(SubscriptionError):
-            engine.match(foreign)

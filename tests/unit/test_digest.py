@@ -61,6 +61,34 @@ class TestMatchDigestEncoding:
         with pytest.raises(CodecError):
             MatchDigest.from_bytes(data[:-1])
 
+    @pytest.mark.parametrize("ids", [(9, 5), (5, 5)], ids=["unordered", "duplicate"])
+    def test_sparse_ids_must_strictly_increase(self, ids):
+        """A hand-built id list the encoder never writes: unordered ids made
+        the forwarding re-encode raise ``ValueError`` (negative shift), and
+        duplicates re-encoded to a different digest."""
+        payload = (
+            bytes((0,))
+            + (1).to_bytes(8, "big")
+            + (2).to_bytes(8, "big")
+            + len(ids).to_bytes(4, "big")
+            + b"".join(i.to_bytes(8, "big") for i in ids)
+        )
+        with pytest.raises(CodecError, match="strictly increasing"):
+            MatchDigest.from_bytes(payload)
+
+    def test_bitmap_ids_stay_within_64_bits(self):
+        """Bit 1 over base 2**64 - 1 names id 2**64, which no sparse
+        re-encoding could write."""
+        payload = (
+            bytes((1,))
+            + bytes(16)
+            + (2**64 - 1).to_bytes(8, "big")
+            + (1).to_bytes(4, "big")
+            + bytes((0b10,))
+        )
+        with pytest.raises(CodecError, match="64-bit"):
+            MatchDigest.from_bytes(payload)
+
     def test_mixed_ids_do_not_collide_like_raw_xor(self):
         # Raw XOR of consecutive ids collides (1 ^ 2 ^ 3 == 0); the mixed
         # form must not.

@@ -13,7 +13,6 @@ from repro.errors import SubscriptionError
 from repro.matching import uniform_schema
 from repro.matching.aggregation import AggregatingEngine
 from repro.matching.engines import (
-    DEFAULT_SHARDS,
     CompiledEngine,
     EngineSpec,
     TreeEngine,
@@ -22,24 +21,19 @@ from repro.matching.engines import (
     engine_spec,
 )
 from repro.matching.optimizations import FactoredMatcher
-from repro.matching.sharding import ShardedEngine
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {name: [0, 1, 2] for name in SCHEMA.names}
 
-#: spec string -> (kind, shards, backend, aggregate, canonical form)
+#: spec string -> (kind, backend, aggregate, canonical form)
 PARSED = {
-    "compiled": ("compiled", None, "interp", False, "compiled"),
-    "compiled:interp": ("compiled", None, "interp", False, "compiled"),
-    "compiled+agg": ("compiled", None, "interp", True, "compiled+agg"),
-    "compiled:vector": ("compiled", None, "vector", False, "compiled:vector"),
-    "compiled:vector+agg": ("compiled", None, "vector", True, "compiled:vector+agg"),
-    "sharded": ("sharded", DEFAULT_SHARDS, "interp", False, f"sharded/{DEFAULT_SHARDS}"),
-    "sharded/2": ("sharded", 2, "interp", False, "sharded/2"),
-    "sharded/4+agg": ("sharded", 4, "interp", True, "sharded/4+agg"),
-    "sharded/3:vector+agg": ("sharded", 3, "vector", True, "sharded/3:vector+agg"),
-    "tree": ("tree", None, "interp", False, "tree"),
-    "tree:interp": ("tree", None, "interp", False, "tree"),
+    "compiled": ("compiled", "interp", False, "compiled"),
+    "compiled:interp": ("compiled", "interp", False, "compiled"),
+    "compiled+agg": ("compiled", "interp", True, "compiled+agg"),
+    "compiled:vector": ("compiled", "vector", False, "compiled:vector"),
+    "compiled:vector+agg": ("compiled", "vector", True, "compiled:vector+agg"),
+    "tree": ("tree", "interp", False, "tree"),
+    "tree:interp": ("tree", "interp", False, "tree"),
 }
 
 REJECTED = [
@@ -47,9 +41,14 @@ REJECTED = [
     "tree:vector",  # the tree engine has no kernel backends
     "tree+agg",  # nor a compiled program to aggregate
     "sharded/0",
-    "procpool",
+    "procpool",  # deleted engine kinds
+    "sharded",
+    "sharded/2",
+    "sharded/4",
+    "sharded/4+agg",
+    "sharded/3:vector+agg",
     "compiled:procpool",
-    "compiled/2",  # a shard count needs the sharded engine
+    "compiled/2",  # shard counts went with the sharded engine
     "compiled+agg+agg",  # trailing junk
     "compiled:vector junk",
     "sharded/",
@@ -65,16 +64,11 @@ needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy is not installed")
 class TestParse:
     @pytest.mark.parametrize("text", sorted(PARSED))
     def test_fields_and_canonical_round_trip(self, text):
-        kind, shards, backend, aggregate, canonical = PARSED[text]
+        kind, backend, aggregate, canonical = PARSED[text]
         if backend == "vector" and not HAS_NUMPY:
             pytest.skip("numpy is not installed")
         spec = EngineSpec.parse(text)
-        assert (spec.kind, spec.shards, spec.backend, spec.aggregate) == (
-            kind,
-            shards,
-            backend,
-            aggregate,
-        )
+        assert (spec.kind, spec.backend, spec.aggregate) == (kind, backend, aggregate)
         assert str(spec) == canonical
         assert EngineSpec.parse(str(spec)) == spec
 
@@ -85,23 +79,23 @@ class TestParse:
 
     def test_constructor_validates_like_the_parser(self):
         with pytest.raises(SubscriptionError):
-            EngineSpec(kind="sharded", shards=0)
+            EngineSpec(kind="sharded")
         with pytest.raises(SubscriptionError):
             EngineSpec(kind="tree", aggregate=True)
         assert EngineSpec() == EngineSpec.parse("compiled")
 
     def test_engine_spec_accepts_both_forms(self):
-        spec = EngineSpec.parse("sharded/2")
+        spec = EngineSpec.parse("compiled:vector+agg")
         assert engine_spec(spec) is spec
-        assert engine_spec("sharded/2") == spec
+        assert engine_spec("compiled:vector+agg") == spec
 
     def test_cli_takes_one_engine_flag(self, capsys):
         args = _build_parser().parse_args(["--engine", "compiled+agg", "demo"])
         assert args.engine == EngineSpec(aggregate=True)
         assert _build_parser().parse_args(["demo"]).engine == EngineSpec()
         with pytest.raises(SystemExit):
-            _build_parser().parse_args(["--engine", "sharded/0", "demo"])
-        assert "at least 1 shard" in capsys.readouterr().err
+            _build_parser().parse_args(["--engine", "sharded/4", "demo"])
+        assert "malformed engine spec" in capsys.readouterr().err
 
 
 class TestFactory:
@@ -110,7 +104,6 @@ class TestFactory:
         [
             ("tree", TreeEngine),
             ("compiled", CompiledEngine),
-            ("sharded/2", ShardedEngine),
             ("compiled+agg", AggregatingEngine),
         ],
     )
@@ -124,14 +117,12 @@ class TestFactory:
             ("tree", True),
             ("compiled", True),
             ("compiled:vector", True),
-            ("sharded/2", False),
             ("compiled+agg", False),
-            ("sharded/2+agg", False),
         ],
     )
     def test_factoring_rule(self, text, factored):
-        """Sharding and aggregation take precedence over factoring; the
-        decision is made once, in create_matcher."""
+        """Aggregation takes precedence over factoring; the decision is made
+        once, in create_matcher."""
         assert EngineSpec.parse(text).factors is factored
         matcher = create_matcher(text, SCHEMA, domains=DOMAINS, factoring_attributes=["a1"])
         assert isinstance(matcher, FactoredMatcher) is factored
@@ -151,7 +142,7 @@ class TestVectorResolution:
         spec = EngineSpec.parse("compiled:vector+agg")
         assert spec.backend == "interp"
         assert str(spec) == "compiled+agg"
-        engine = create_engine("sharded/2:vector", SCHEMA)
+        engine = create_engine("compiled:vector", SCHEMA)
         assert engine.backend_name == "interp"
 
     @needs_numpy

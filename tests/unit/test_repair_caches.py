@@ -2,12 +2,12 @@
 virtual-link layout.
 
 CompiledEngine caches link-match results keyed by (projection, yes-mask,
-maybe-mask); ShardedEngine keeps per-shard outer caches.  After a topology
-repair changes which destination sits behind which link position, the same
-packed mask bits denote *different* links — a stale cache hit would route
-events to the pre-failure destinations.  ``ContentRouter.rebuild_links``
-must therefore rebind the engine (flushing those caches) exactly when the
-layout changed, and must keep warm caches when it did not.
+maybe-mask).  After a topology repair changes which destination sits behind
+which link position, the same packed mask bits denote *different* links — a
+stale cache hit would route events to the pre-failure destinations.
+``ContentRouter.rebuild_links`` must therefore rebind the engine (flushing
+those caches) exactly when the layout changed, and must keep warm caches
+when it did not.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def build_router(topology, table, trees, engine):
         trees,
         SCHEMA,
         domains=DOMAINS,
-        engine="sharded/2" if engine == "sharded" else engine,
+        engine=engine,
     )
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=0"), "S2"))
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=1"), "S3"))
@@ -59,7 +59,7 @@ def build_router(topology, table, trees, engine):
 EVENTS = [Event.from_tuple(SCHEMA, (0, 0)), Event.from_tuple(SCHEMA, (1, 0))]
 
 
-@pytest.mark.parametrize("engine", ["compiled", "sharded"])
+@pytest.mark.parametrize("engine", ["compiled"])
 def test_stale_link_cache_flushed_after_failover(engine):
     topology = build_topology()
     tree = SpanningTree(topology, ROOT)
@@ -91,7 +91,7 @@ def test_stale_link_cache_flushed_after_failover(engine):
         assert str(repaired.mask) == str(fresh.mask)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "sharded"])
+@pytest.mark.parametrize("engine", ["compiled"])
 def test_unchanged_layout_keeps_warm_caches(engine):
     """Failing a link the layout never used must not flush anything."""
     topology = build_topology()
