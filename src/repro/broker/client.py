@@ -44,7 +44,14 @@ class _PendingRequest:
 
 
 class BrokerClient:
-    """A publisher/subscriber client of one prototype broker."""
+    """A publisher/subscriber client of one prototype broker.
+
+    Delivered events go to exactly one sink.  With an ``on_event`` handler,
+    the handler is the sink and the client keeps nothing, so a long-running
+    subscriber does not grow without bound.  Without one, each delivery is
+    kept as ``(seq, event)`` in :attr:`deliveries` (read back through
+    :attr:`received_events`).
+    """
 
     def __init__(
         self,
@@ -245,8 +252,9 @@ class BrokerClient:
         event = decode_event(self.schema, message.event_data)
         if message.seq > self.last_seq:
             self.last_seq = message.seq
-            self.deliveries.append((message.seq, event))
-            if self.on_event is not None:
+            if self.on_event is None:
+                self.deliveries.append((message.seq, event))
+            else:
                 self.on_event(event, message.seq)
         # Duplicates (redelivery overlap) are acked but not re-processed.
         if self.auto_ack and self.is_connected:

@@ -377,7 +377,7 @@ class AggregatingEngine(MatcherEngine):
             self._group_of[subscription_id] = group
             self._attach(group)
         self._repair_descent_cache(group)
-        self._invalidate_link_projection()
+        self._project_inserted(subscription)
         self._update_gauges()
 
     def remove(self, subscription_id: int) -> Subscription:
@@ -391,7 +391,7 @@ class AggregatingEngine(MatcherEngine):
         else:
             self._dissolve(group)
         self._repair_descent_cache(group)
-        self._invalidate_link_projection()
+        self._project_removed(subscription_id)
         self._update_gauges()
         return subscription
 
@@ -774,7 +774,7 @@ class AggregatingEngine(MatcherEngine):
         self._link_of = link_of_subscriber
         # Cached entries may carry link bits memoized under the old binding.
         self._descent_cache.flush()
-        self._invalidate_link_projection()
+        self._link_projection = None
         self.inner.bind_links(num_links, self._links_of_representative)
 
     def _projection_link_of(self) -> Optional[LinkOfSubscriber]:

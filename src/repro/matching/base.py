@@ -143,15 +143,18 @@ class MatcherEngine(Matcher):
     # Digest projection (match-once forwarding)
 
     #: Lazily built ``subscription_id -> packed link bits`` table; ``None``
-    #: means stale.  Class-level default so engines need no ``__init__``
-    #: cooperation; instance assignment shadows it.
+    #: means not built.  Class-level default so engines need no ``__init__``
+    #: cooperation; instance assignment shadows it.  Once built, insert and
+    #: remove repair it entry by entry; only ``bind_links`` drops it.
     _link_projection: Optional[Dict[int, int]] = None
 
-    def _invalidate_link_projection(self) -> None:
-        """Drop the projection table.  Engines call this whenever the
-        subscription set or the link binding changes (insert/remove/
-        bind_links) — a stale table would project onto pre-churn links."""
-        self._link_projection = None
+    def _project_inserted(self, subscription: Subscription) -> None:
+        if self._link_projection is not None:
+            self._link_projection[subscription.subscription_id] = self._link_bits(subscription)
+
+    def _project_removed(self, subscription_id: int) -> None:
+        if self._link_projection is not None:
+            self._link_projection.pop(subscription_id, None)
 
     def _projection_link_of(self) -> "Optional[LinkOfSubscriber]":
         """The subscription→link mapping the projection table is built from
@@ -160,26 +163,28 @@ class MatcherEngine(Matcher):
         *representatives* to link unions, while digests carry member ids."""
         return getattr(self, "_link_of_subscriber", None)
 
+    def _link_bits(self, subscription: Subscription) -> int:
+        link_of = self._projection_link_of()
+        assert link_of is not None  # a table exists only while links are bound
+        mapped = link_of(subscription)
+        positions = (mapped,) if isinstance(mapped, int) else mapped
+        bits = 0
+        for position in positions:
+            if position >= 0:
+                bits |= 1 << position
+        return bits
+
     def _link_projection_table(self) -> Dict[int, int]:
-        table = self._link_projection
-        if table is None:
-            link_of = self._projection_link_of()
-            if link_of is None:
+        if self._link_projection is None:
+            if self._projection_link_of() is None:
                 raise RoutingError(
-                    f"{type(self).__name__}.project_links() requires a prior "
-                    f"bind_links()"
+                    f"{type(self).__name__}.project_links() requires a prior bind_links()"
                 )
-            table = {}
-            for subscription in self.subscriptions:
-                mapped = link_of(subscription)
-                positions = (mapped,) if isinstance(mapped, int) else mapped
-                bits = 0
-                for position in positions:
-                    if position >= 0:
-                        bits |= 1 << position
-                table[subscription.subscription_id] = bits
-            self._link_projection = table
-        return table
+            self._link_projection = {
+                subscription.subscription_id: self._link_bits(subscription)
+                for subscription in self.subscriptions
+            }
+        return self._link_projection
 
     def project_links(
         self, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int

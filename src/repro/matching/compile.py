@@ -73,6 +73,14 @@ refined link masks.  Two mechanisms exploit this:
   ``match.cache.hit`` / ``match.cache.miss`` / ``match.cache.flush``, and a
   ``match.cache.residency`` gauge (entries/capacity, per cache kind) makes
   cache pressure visible alongside the rates.
+
+**Digest projection.**  :meth:`CompiledProgram.project_links` ORs one packed
+leaf annotation per leaf a match digest names.  Its ``subscription_id -> leaf``
+index is written while lowering and repaired by :meth:`CompiledProgram.patch`
+along the path it re-lowers, so a digest after churn costs O(matched leaves).
+This is exact because the PST never moves a surviving subscription to another
+node: a re-materializing insert grafts the old node (same slot) under a new
+``*``-branch.  The index holds structure only; re-annotation leaves it alone.
 """
 
 from __future__ import annotations
@@ -90,7 +98,6 @@ from repro.matching.events import Event
 from repro.matching.predicates import (
     AttributeTest,
     EqualityTest,
-    Predicate,
     Subscription,
 )
 from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
@@ -257,7 +264,6 @@ class CompiledProgram:
         "link_cache",
         # digest projection (subscription id -> live leaf index)
         "_sub_leaf",
-        "_sub_leaf_generation",
     )
 
     def __init__(
@@ -327,8 +333,7 @@ class CompiledProgram:
         self.link_cache: Optional[ProjectionCache] = (
             ProjectionCache(cache_capacity, kind="links") if cache_capacity > 0 else None
         )
-        self._sub_leaf: Optional[Dict[int, int]] = None
-        self._sub_leaf_generation = -1
+        self._sub_leaf: Dict[int, int] = {}
         self._ensure_index(tree.root)
 
     # ------------------------------------------------------------------
@@ -420,6 +425,8 @@ class CompiledProgram:
         self.sub_start[index] = len(self.subs_flat)
         self.subs_flat.extend(node.subscriptions)
         self.sub_end[index] = len(self.subs_flat)
+        for subscription in node.subscriptions:
+            self._sub_leaf[subscription.subscription_id] = index
 
     def _write_range_slice(self, index: int, node: PSTNode) -> None:
         # Lower the children *before* appending: _ensure_index recurses and
@@ -771,43 +778,6 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)
 
-    def _sub_leaf_map(self) -> Dict[int, int]:
-        """The stable ``subscription_id -> live leaf index`` mapping.
-
-        Built by walking the live node graph from the root (``subs_flat``
-        alone is unusable: patches orphan superseded leaf slices, whose
-        entries must not shadow the live ones) and keyed on
-        :attr:`generation`, so every patch or re-annotation rebuilds it
-        lazily on next use.
-        """
-        if self._sub_leaf is not None and self._sub_leaf_generation == self.generation:
-            return self._sub_leaf
-        mapping: Dict[int, int] = {}
-        stack = [0]
-        seen = set()
-        while stack:
-            index = stack.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            if self.event_pos[index] < 0:
-                for subscription in self.subs_flat[
-                    self.sub_start[index] : self.sub_end[index]
-                ]:
-                    mapping[subscription.subscription_id] = index
-                continue
-            table = self.value_tables[index]
-            if table is not None:
-                stack.extend(table.values())
-            stack.extend(
-                self.range_children[self.range_start[index] : self.range_end[index]]
-            )
-            if self.star[index] >= 0:
-                stack.append(self.star[index])
-        self._sub_leaf = mapping
-        self._sub_leaf_generation = self.generation
-        return mapping
-
     def project_links(
         self, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int
     ) -> Tuple[int, int]:
@@ -826,7 +796,7 @@ class CompiledProgram:
         """
         if not self.annotated:
             raise RoutingError("program has no link annotations — call annotate()")
-        mapping = self._sub_leaf_map()
+        mapping = self._sub_leaf
         ann_yes = self.ann_yes
         bits = 0
         steps = 0
@@ -862,15 +832,16 @@ class CompiledProgram:
 
         Called after any mutation of the arrays backends execute over
         (:meth:`patch`, :meth:`annotate`): the vector backend rebuilds its
-        columnar index lazily.
+        columnar index lazily.  The digest index is not keyed on it —
+        :meth:`patch` repairs that in place.
         """
         self.generation += 1
         if self.backend_state:
             self.backend_state.clear()
 
-    def patch(self, tree: ParallelSearchTree, predicate: Predicate) -> bool:
-        """Re-lower the root-to-leaf path selected by ``predicate`` after one
-        subscription was inserted into / removed from ``tree``.
+    def patch(self, tree: ParallelSearchTree, subscription: Subscription) -> bool:
+        """Re-lower the root-to-leaf path selected by ``subscription``'s
+        predicate after it was inserted into / removed from ``tree``.
 
         Returns ``False`` (leaving the program untouched is then unsafe —
         the caller must fully recompile) when the tree's root was replaced
@@ -878,6 +849,9 @@ class CompiledProgram:
         patch garbage outweighs the live structure.  Otherwise syncs the
         path's edges and leaf slice with the live tree, and recomputes the
         packed annotations of the path bottom-up when annotations are bound.
+
+        A synced leaf slice re-records its residents in the digest index; a
+        removed id is dropped by id, as a pruning removal never reaches its leaf.
         """
         if self.index_of_node.get(tree.root.node_id) != 0:
             return False
@@ -886,7 +860,7 @@ class CompiledProgram:
         # itself, which would let waste grow without ever crossing it.
         if self._waste > max(64, self.node_count - self._waste):
             return False
-        tests = [predicate.tests[position] for position in self._positions]
+        tests = [subscription.predicate.tests[position] for position in self._positions]
         path: List[Tuple[int, PSTNode]] = []
         node: Optional[PSTNode] = tree.root
         while node is not None:
@@ -901,6 +875,8 @@ class CompiledProgram:
             node = child
         for index, _node in path:
             self._refresh_record(index)
+        if subscription.subscription_id not in tree:
+            self._sub_leaf.pop(subscription.subscription_id, None)
         if self.annotated:
             for index, _node in reversed(path):
                 self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)

@@ -225,12 +225,12 @@ class TreeEngine(_EngineBase):
     def insert(self, subscription: Subscription) -> None:
         self.tree.insert(subscription)
         self._patch_annotation(subscription)
-        self._invalidate_link_projection()
+        self._project_inserted(subscription)
 
     def remove(self, subscription_id: int) -> Subscription:
         subscription = self.tree.remove(subscription_id)
         self._patch_annotation(subscription)
-        self._invalidate_link_projection()
+        self._project_removed(subscription_id)
         return subscription
 
     def _patch_annotation(self, subscription: Subscription) -> None:
@@ -250,7 +250,7 @@ class TreeEngine(_EngineBase):
         self._link_of_subscriber = link_of_subscriber
         self._annotation = None
         self._link_matcher = None
-        self._invalidate_link_projection()
+        self._link_projection = None
 
     def match_links(
         self, event: Event, initialization_mask: TritVector
@@ -359,7 +359,7 @@ class CompiledEngine(_EngineBase):
     def _patch_program(self, subscription: Subscription) -> None:
         if self._program is None:
             return
-        if self._program.patch(self.tree, subscription.predicate):
+        if self._program.patch(self.tree, subscription):
             self._obs_patches.inc()
             self._obs_waste_ratio.set(
                 self._program.waste / max(1, self._program.node_count)
@@ -446,7 +446,9 @@ class CompiledEngine(_EngineBase):
     ) -> "tuple[int, int]":
         """Digest projection over the compiled program's packed leaf
         annotations (one OR per matched leaf) — see
-        :meth:`CompiledProgram.project_links` for the exactness argument."""
+        :meth:`CompiledProgram.project_links` for the exactness argument.
+        Its leaf index is patched with the tree, so after churn this costs
+        O(matched leaves); only a patch bail-out rebuilds it, by recompiling."""
         num_links = self._require_links()
         program = self._annotated_program(num_links)
         result = program.project_links(subscription_ids, yes_bits, maybe_bits)

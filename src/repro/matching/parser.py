@@ -93,14 +93,16 @@ def tokenize(text: str) -> List[Token]:
             i += len(matched_op)
             continue
         if ch in "'\"":
-            value, i = _read_string(text, i)
-            tokens.append(Token(TokenType.STRING, value, i))
+            start = i
+            value, i = _read_string(text, start)
+            tokens.append(Token(TokenType.STRING, value, start))
             continue
         if ch.isdigit() or (
             ch in "+-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")
         ):
-            value, i = _read_number(text, i)
-            tokens.append(Token(TokenType.NUMBER, value, i))
+            start = i
+            value, i = _read_number(text, start)
+            tokens.append(Token(TokenType.NUMBER, value, start))
             continue
         if ch.isalpha() or ch == "_":
             j = i

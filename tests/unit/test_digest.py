@@ -152,7 +152,7 @@ class TestProjectLinks:
         new = make_subscription(SCHEMA2, "a2=7", "bob")
         engine.insert(new)
         final_yes, _steps = engine.project_links([new.subscription_id], 0, 0b11)
-        assert final_yes == 0b10  # bob's link — the table was rebuilt
+        assert final_yes == 0b10  # bob's link — the insert repaired the table
 
 
 def _context(topology):

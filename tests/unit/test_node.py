@@ -182,6 +182,24 @@ class TestPublishAndDeliver:
         transport.pump()
         assert seen == [1]
 
+    def test_handler_is_the_only_sink(self):
+        schema, transport, _nodes = two_broker_network()
+        seen = []
+        alice = client(
+            "alice", schema, transport, "B0", on_event=lambda e, seq: seen.append(seq)
+        )
+        bob = client("bob", schema, transport, "B1")
+        pub = client("pub", schema, transport, "B0")
+        alice.subscribe_and_wait("*")
+        bob.subscribe_and_wait("*")
+        transport.pump()
+        for i in range(3):
+            pub.publish({"issue": "X", "price": float(i), "volume": i})
+        transport.pump()
+        assert seen == [1, 2, 3]
+        assert alice.deliveries == [] and alice.received_events == []
+        assert [e["volume"] for e in bob.received_events] == [0, 1, 2]
+
     def test_sequencing_per_client(self):
         schema, transport, _nodes = two_broker_network()
         alice = client("alice", schema, transport, "B0")

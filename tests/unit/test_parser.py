@@ -112,6 +112,16 @@ class TestParsePredicate:
         with pytest.raises(ParseError):
             parse_predicate(stock_schema, "price<120 volume>3")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("price<120 130", 10), ("issue='IBM' 'X'", 12)],
+        ids=["number", "string"],
+    )
+    def test_trailing_literal_reports_its_start(self, stock_schema, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_predicate(stock_schema, text)
+        assert info.value.position == position
+
     def test_missing_value(self, stock_schema):
         with pytest.raises(ParseError):
             parse_predicate(stock_schema, "price<")
